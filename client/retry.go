@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -171,7 +172,9 @@ func (rt *retrier) delay(attempt int, hint time.Duration) time.Duration {
 // retryable classifies an error: transport-level failures (connection
 // refused/reset, EOF, truncated or garbled bodies) and throttling or
 // server-fault statuses are worth re-attempting; application errors
-// (validation, unknown job, infeasible scenario) and the caller's own
+// (validation, unknown job, infeasible scenario), a well-formed body
+// of the wrong shape (a coordinator's FleetSnapshot read as a
+// MetricsSnapshot reads the same every time) and the caller's own
 // context expiring are not.
 func retryable(err error) bool {
 	var api *APIError
@@ -182,6 +185,10 @@ func retryable(err error) bool {
 			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 			return true
 		}
+		return false
+	}
+	var shape *json.UnmarshalTypeError
+	if errors.As(err, &shape) {
 		return false
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -240,7 +247,8 @@ func (c *Client) roundTripAttempts(ctx context.Context, method, path string, bod
 		if rt != nil {
 			rt.attempt()
 			// The breaker tracks service health: a non-retryable
-			// application error (400/404/422) is a healthy answer.
+			// application error (400/404/422, a wrong-shape body) is
+			// a healthy answer.
 			rt.breaker.Record(err == nil || !retryable(err))
 		}
 		if err == nil {

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -99,6 +100,40 @@ func TestNoRetryOnApplicationErrors(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("attempts = %d, want 1 (422 is not retryable)", calls.Load())
+	}
+}
+
+// TestNoRetryOnWrongShapeBody: a well-formed body of the wrong shape
+// (client.Metrics against a coordinator, whose /metrics is a
+// FleetSnapshot) is final. It is one attempt and a healthy answer for
+// the breaker, so the next valid call still goes through.
+func TestNoRetryOnWrongShapeBody(t *testing.T) {
+	var metricsCalls atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/metrics":
+			metricsCalls.Add(1)
+			w.Write([]byte(`{"uptime_sec": 1, "workers": [{"addr": "127.0.0.1:1", "state": "healthy"}]}`))
+		case "/v1/simulate":
+			w.Write([]byte(`{"policy": "lpSHE", "energy": 1}`))
+		}
+	}))
+	defer hs.Close()
+
+	c, _ := instantRetry(hs.URL, RetryPolicy{BreakerThreshold: 4, Seed: 1})
+	_, err := c.Metrics(context.Background())
+	var shape *json.UnmarshalTypeError
+	if !errors.As(err, &shape) {
+		t.Fatalf("Metrics error = %v, want a json.UnmarshalTypeError", err)
+	}
+	if n := metricsCalls.Load(); n != 1 {
+		t.Fatalf("Metrics attempts = %d, want 1 (a wrong-shape body reads the same every time)", n)
+	}
+	if got := c.BreakerState(); got != "closed" {
+		t.Fatalf("breaker state = %s, want closed", got)
+	}
+	if _, err := c.Simulate(context.Background(), server.SimRequest{}); err != nil {
+		t.Fatalf("Simulate after a wrong-shape answer: %v", err)
 	}
 }
 

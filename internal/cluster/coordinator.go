@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -17,7 +16,6 @@ import (
 
 	"dvsslack/client"
 	"dvsslack/internal/obs"
-	"dvsslack/internal/policies"
 	"dvsslack/internal/scenario"
 	"dvsslack/internal/server"
 )
@@ -71,9 +69,6 @@ func (c Config) withDefaults() Config {
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 2
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
 	return c
 }
 
@@ -85,22 +80,23 @@ var ErrNoWorkers = errors.New("cluster: no ready workers")
 // the dvsd wire protocol, routing scenarios onto workers by
 // consistent hash of the canonical scenario key
 // (server.ScenarioKey), with health-checked membership, failover,
-// cordon/drain semantics, and fleet-wide job fan-out.
+// cordon/drain semantics, and fleet-wide job fan-out. Request
+// plumbing, the job store and the endpoints whose answer does not
+// depend on the service are dvsd's own (server.Frontend), so a client
+// cannot tell the two apart on any of them.
 type Coordinator struct {
 	cfg    Config
 	log    *slog.Logger
 	ring   *Ring
 	met    *fleetMetrics
-	jobs   *fleetJobs
+	front  *server.Frontend
 	tracer *obs.Tracer
 
 	mu      sync.RWMutex
 	workers map[string]*worker
 
-	mux     *http.ServeMux
 	handler http.Handler
 
-	draining   atomic.Bool
 	healthCtx  context.Context
 	healthStop context.CancelFunc
 	healthDone chan struct{}
@@ -125,33 +121,35 @@ func New(cfg Config) *Coordinator {
 		c.workers[addr] = newWorker(addr)
 	}
 	c.met = newFleetMetrics(c)
-	c.jobs = newFleetJobs(c)
+	c.front = server.NewFrontend(server.FrontendSpec{
+		Service:      "dvsfleet",
+		JobPrefix:    "fj",
+		Log:          c.log,
+		Tracer:       c.tracer,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		Metrics:      &c.met.HTTPMetrics,
+		Run:          c.runJobRun,
+		Width:        c.fanoutWidth,
+	})
 	c.healthCtx, c.healthStop = context.WithCancel(context.Background())
 	c.healthDone = make(chan struct{})
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", c.instrument("simulate", c.handleSimulate))
-	mux.HandleFunc("POST /v1/scenario", c.instrument("scenario", c.handleScenario))
-	mux.HandleFunc("POST /v1/jobs", c.instrument("jobs.create", c.handleCreateJob))
-	mux.HandleFunc("GET /v1/jobs", c.instrument("jobs.list", c.handleListJobs))
-	mux.HandleFunc("GET /v1/jobs/{id}", c.instrument("jobs.get", c.handleGetJob))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.instrument("jobs.cancel", c.handleCancelJob))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleJobEvents) // SSE, self-instrumented
-	mux.HandleFunc("GET /v1/policies", c.instrument("policies", c.handlePolicies))
-	mux.HandleFunc("GET /v1/cluster", c.instrument("cluster", c.handleCluster))
-	mux.HandleFunc("POST /v1/cluster/cordon", c.instrument("cluster.cordon", c.handleCordon))
-	mux.HandleFunc("POST /v1/cluster/uncordon", c.instrument("cluster.uncordon", c.handleUncordon))
-	mux.HandleFunc("POST /v1/cluster/drain", c.instrument("cluster.drain", c.handleDrain))
+	c.front.Mount(mux)
+	mux.HandleFunc("POST /v1/simulate", c.front.Instrument("simulate", c.handleSimulate))
+	mux.HandleFunc("POST /v1/scenario", c.front.Instrument("scenario", c.handleScenario))
+	mux.HandleFunc("GET /v1/cluster", c.front.Instrument("cluster", c.handleCluster))
+	mux.HandleFunc("POST /v1/cluster/cordon", c.front.Instrument("cluster.cordon", c.handleCordon))
+	mux.HandleFunc("POST /v1/cluster/uncordon", c.front.Instrument("cluster.uncordon", c.handleUncordon))
+	mux.HandleFunc("POST /v1/cluster/drain", c.front.Instrument("cluster.drain", c.handleDrain))
 	if cfg.Kill != nil {
-		mux.HandleFunc("POST /v1/cluster/kill", c.instrument("cluster.kill", c.handleKill))
+		mux.HandleFunc("POST /v1/cluster/kill", c.front.Instrument("cluster.kill", c.handleKill))
 	}
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /metrics.prom", c.handleMetricsProm)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
 	mux.HandleFunc("GET /debug/trace", c.handleTraceDump)
-	c.mux = mux
-	c.handler = mux
+	c.handler = c.front.Recover(mux)
 	return c
 }
 
@@ -179,11 +177,8 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.hand
 // coordinator does not own worker processes — except in embedded
 // mode, where cmd/dvsfleet drains them).
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.draining.Store(true)
-	err := c.jobs.WaitIdle(ctx)
-	if err != nil {
-		c.jobs.CancelAll()
-	}
+	err := c.front.Drain(ctx)
+	c.front.Stop(ctx)
 	if c.started.Load() {
 		c.healthStop()
 		<-c.healthDone
@@ -434,15 +429,17 @@ func finishRouteSpan(span *obs.Span, err error) {
 	span.End()
 }
 
-// routeSimulate runs one request against the fleet: the key's owner
-// first, then its ring successors on worker-side failures. Scenario
-// faults (4xx) propagate immediately — re-running a request the
-// worker rejected as invalid on another node cannot succeed.
-func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest, key string) (server.SimResult, error) {
+// route runs one call against the fleet: the key's owner first, then
+// its ring successors on worker-side failures. 429 spills over to the
+// next worker, 503 and other 5xx fail over, a transport error evicts
+// the worker and fails over, and any other 4xx propagates at once —
+// re-running a request the worker rejected as invalid on another node
+// cannot succeed. call makes one attempt against one worker.
+func (c *Coordinator) route(ctx context.Context, key string, call func(context.Context, *worker) error) error {
 	cands := c.candidates(key)
 	if len(cands) == 0 {
 		c.met.proxyErrors.Inc()
-		return server.SimResult{}, ErrNoWorkers
+		return ErrNoWorkers
 	}
 	var lastErr error
 	for i, addr := range cands {
@@ -451,15 +448,15 @@ func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest,
 			continue
 		}
 		callCtx, span := c.routeSpan(ctx, addr, i)
-		res, err := w.c.Simulate(callCtx, *req)
+		err := call(callCtx, w)
 		finishRouteSpan(span, err)
 		if err == nil {
 			c.met.routed.With(addr).Inc()
-			return res, nil
+			return nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return server.SimResult{}, err
+			return err
 		}
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) {
@@ -471,20 +468,16 @@ func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest,
 				// overload), leaving ring membership to the checker.
 				c.met.retries.Inc()
 				continue
-			case apiErr.StatusCode == http.StatusServiceUnavailable:
-				// Draining or deadline-exhausted: fail over, and let
-				// the next probe decide whether to evict.
-				c.met.failovers.With(addr).Inc()
-				continue
 			case apiErr.StatusCode >= 500:
-				// Worker-side fault (panic recovery, proxy error):
-				// fail over without eviction — it may be specific to
-				// this request.
+				// Draining, deadline-exhausted or a worker-side fault
+				// (panic recovery, proxy error): fail over without
+				// eviction — the fault may be specific to this request,
+				// and the next probe decides about membership.
 				c.met.failovers.With(addr).Inc()
 				continue
 			default:
-				// 4xx: the scenario itself is at fault.
-				return server.SimResult{}, err
+				// 4xx: the request itself is at fault.
+				return err
 			}
 		}
 		// Transport error: the worker is unreachable. Evict now so the
@@ -494,133 +487,54 @@ func (c *Coordinator) routeSimulate(ctx context.Context, req *server.SimRequest,
 		c.met.failovers.With(addr).Inc()
 	}
 	c.met.proxyErrors.Inc()
-	return server.SimResult{}, fmt.Errorf("cluster: all %d candidate workers failed: %w", len(cands), lastErr)
+	return fmt.Errorf("cluster: all %d candidate workers failed: %w", len(cands), lastErr)
 }
 
-// routeScenario runs one scenario document against the fleet with the
-// same failover ladder as routeSimulate: owner first, ring successors
-// on worker-side failures, 4xx propagated immediately. The document's
-// canonical key (scenario.DocKey) routes it, so re-submitting the same
-// document lands on the same worker. The worker's verdict bytes pass
-// through untouched — byte-identical to a local run by construction.
-func (c *Coordinator) routeScenario(ctx context.Context, body []byte, key string) ([]byte, error) {
-	cands := c.candidates(key)
-	if len(cands) == 0 {
-		c.met.proxyErrors.Inc()
-		return nil, ErrNoWorkers
+// simulate routes one run by its scenario key, so it lands on the
+// worker whose result cache holds it.
+func (c *Coordinator) simulate(ctx context.Context, req *server.SimRequest) (server.SimResult, error) {
+	key, err := server.ScenarioKey(req)
+	if err != nil {
+		// Unkeyable but runnable: route as the empty key (one fixed
+		// owner) rather than failing the request.
+		key = ""
 	}
-	var lastErr error
-	for i, addr := range cands {
-		w, ok := c.worker(addr)
-		if !ok {
-			continue
-		}
-		callCtx, span := c.routeSpan(ctx, addr, i)
-		verdict, err := w.c.RunScenario(callCtx, body)
-		finishRouteSpan(span, err)
-		if err == nil {
-			c.met.routed.With(addr).Inc()
-			return verdict, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			switch {
-			case apiErr.StatusCode == http.StatusTooManyRequests:
-				c.met.retries.Inc()
-				continue
-			case apiErr.StatusCode == http.StatusServiceUnavailable,
-				apiErr.StatusCode >= 500:
-				c.met.failovers.With(addr).Inc()
-				continue
-			default:
-				return nil, err
-			}
-		}
-		c.markDownPassive(w, err)
-		c.met.failovers.With(addr).Inc()
+	var res server.SimResult
+	err = c.route(ctx, key, func(ctx context.Context, w *worker) (err error) {
+		res, err = w.c.Simulate(ctx, *req)
+		return err
+	})
+	return res, err
+}
+
+// runJobRun is the coordinator's server.RunFunc: a fleet job spreads
+// its runs across every worker, each routed by its own scenario key,
+// instead of parking the batch on one worker. Simulations are
+// deterministic, so which worker executes a run never changes its
+// result, and the job store's ordered merge makes a fleet job's
+// results byte-identical to the same batch on one daemon. The
+// coordinator mounts no checkpoint or restore endpoint, so snap and
+// ctl are never set: remote runs cannot pause.
+func (c *Coordinator) runJobRun(ctx context.Context, req *server.SimRequest, _ []byte, _ *server.RunControl) (server.SimResult, []byte, error) {
+	c.met.fanoutRuns.Inc()
+	res, err := c.simulate(ctx, req)
+	return res, nil, err
+}
+
+// fanoutWidth bounds a fleet job's runs in flight: enough to keep
+// every worker's pool busy without overrunning its admission budget
+// from a single job.
+func (c *Coordinator) fanoutWidth() int {
+	if w := c.cfg.FanoutWidth; w > 0 {
+		return w
 	}
-	c.met.proxyErrors.Inc()
-	return nil, fmt.Errorf("cluster: all %d candidate workers failed: %w", len(cands), lastErr)
-}
-
-// --- HTTP plumbing (mirrors dvsd's instrument/writeJSON discipline) ---
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// instrument mirrors dvsd's handler wrapper. A valid client-supplied
-// X-Request-ID is adopted (and forwarded to workers through the
-// request context), so one ID correlates client report, coordinator
-// log, and worker log; otherwise a fresh ID is minted. An inbound
-// traceparent is continued into a coordinator span, and the request
-// context carries both so routed worker calls propagate them.
-func (c *Coordinator) instrument(label string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
-		if !obs.ValidRequestID(id) {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", id)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		span := c.tracer.StartSpan(parent, "dvsfleet."+label) // nil-safe
-		sc := span.Context()
-		if !sc.Valid() {
-			sc = parent
-		}
-		ctx := obs.ContextWithRequestID(r.Context(), id)
-		if sc.Valid() {
-			ctx = obs.ContextWithSpanContext(ctx, sc)
-		}
-		r = r.WithContext(ctx)
-		start := time.Now()
-		h(sw, r)
-		dur := time.Since(start)
-		c.met.request(label, sw.code < 400)
-		c.met.httpDone(label, dur)
-		span.SetAttr("endpoint", label)
-		span.SetAttr("status", strconv.Itoa(sw.code))
-		span.SetAttr("request_id", id)
-		span.End()
-		attrs := []slog.Attr{
-			slog.String("id", id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("endpoint", label),
-			slog.Int("status", sw.code),
-			slog.Duration("dur", dur),
-		}
-		if sc.Valid() {
-			attrs = append(attrs, slog.String("trace", sc.TraceID.String()))
-		}
-		c.log.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
+	if n := 4 * c.workerCount(); n > 0 {
+		return n
 	}
+	return 4
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, server.ErrorBody{Error: fmt.Sprintf(format, args...)})
-}
+// --- handlers ---
 
 // writeRouteError maps a routing failure onto the dvsd wire protocol,
 // preserving worker status codes and Retry-After hints so clients
@@ -632,109 +546,54 @@ func writeRouteError(w http.ResponseWriter, err error) {
 		if apiErr.RetryAfter > 0 {
 			w.Header().Set("Retry-After", fmt.Sprint(int(apiErr.RetryAfter.Seconds())))
 		}
-		writeError(w, apiErr.StatusCode, "%s", apiErr.Message)
+		server.WriteError(w, apiErr.StatusCode, "%s", apiErr.Message)
 	case errors.Is(err, ErrNoWorkers):
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		w.Header().Set("Retry-After", server.DrainRetryAfter)
+		server.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "cluster: request deadline exceeded")
+		w.Header().Set("Retry-After", server.ShedRetryAfter)
+		server.WriteError(w, http.StatusServiceUnavailable, "cluster: request deadline exceeded")
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusRequestTimeout, "%v", err)
+		server.WriteError(w, http.StatusRequestTimeout, "%v", err)
 	default:
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusBadGateway, "%v", err)
+		w.Header().Set("Retry-After", server.ShedRetryAfter)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 	}
 }
-
-const (
-	drainRetryAfter = "5"
-	shedRetryAfter  = "1"
-)
-
-func (c *Coordinator) rejectIfDraining(w http.ResponseWriter) bool {
-	if c.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "cluster: draining, not accepting new work")
-		return true
-	}
-	return false
-}
-
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "invalid request body: trailing data")
-		return false
-	}
-	io.Copy(io.Discard, body)
-	return true
-}
-
-// --- handlers ---
 
 // handleSimulate proxies POST /v1/simulate: validate locally (a bad
 // scenario never costs a worker round-trip), route by scenario key,
 // fail over on worker faults.
 func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if c.rejectIfDraining(w) {
+	req := c.front.DecodeSimulate(w, r)
+	if req == nil {
 		return
 	}
-	var req server.SimRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := server.ScenarioKey(&req)
-	if err != nil {
-		// Unkeyable but runnable: route as the empty key (one fixed
-		// owner) rather than failing the request.
-		key = ""
-	}
-	res, err := c.routeSimulate(r.Context(), &req, key)
+	res, err := c.simulate(r.Context(), req)
 	if err != nil {
 		writeRouteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	server.WriteJSON(w, http.StatusOK, res)
 }
 
 // handleScenario proxies POST /v1/scenario: parse and validate the
 // document locally (an invalid document never costs a worker
 // round-trip, and the 400 lists every error just as dvsd's would),
-// route the raw body by the document's canonical key, and stream the
-// worker's verdict bytes through verbatim.
+// route the raw body by the document's canonical key (scenario.DocKey,
+// so re-submitting the same document lands on the same worker), and
+// pass the worker's verdict bytes through untouched — byte-identical
+// to a local run by construction.
 func (c *Coordinator) handleScenario(w http.ResponseWriter, r *http.Request) {
-	if c.rejectIfDraining(w) {
+	body, doc, ok := c.front.ReadScenario(w, r)
+	if !ok {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading scenario body: %v", err)
-		return
-	}
-	doc, errs := scenario.Parse("scenario", body)
-	if len(errs) > 0 {
-		msgs := make([]string, len(errs))
-		for i, e := range errs {
-			msgs[i] = e.Error()
-		}
-		writeJSON(w, http.StatusBadRequest, server.ErrorBody{
-			Error:  fmt.Sprintf("scenario failed validation with %d error(s): %s", len(errs), msgs[0]),
-			Errors: msgs,
-		})
-		return
-	}
-	verdict, err := c.routeScenario(r.Context(), body, scenario.DocKey(doc))
+	var verdict []byte
+	err := c.route(r.Context(), scenario.DocKey(doc), func(ctx context.Context, wk *worker) (err error) {
+		verdict, err = wk.c.RunScenario(ctx, body)
+		return err
+	})
 	if err != nil {
 		writeRouteError(w, err)
 		return
@@ -742,92 +601,6 @@ func (c *Coordinator) handleScenario(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(verdict)
-}
-
-// handleCreateJob answers POST /v1/jobs by expanding the batch
-// locally and fanning its runs out across the fleet (each routed by
-// its own scenario key), rather than parking the whole batch on one
-// worker.
-func (c *Coordinator) handleCreateJob(w http.ResponseWriter, r *http.Request) {
-	if c.rejectIfDraining(w) {
-		return
-	}
-	var req server.BatchRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	runs := req.Runs
-	if req.Sweep != nil {
-		expanded, err := req.Sweep.Expand()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		runs = append(runs, expanded...)
-	}
-	if len(runs) == 0 {
-		writeError(w, http.StatusBadRequest, "cluster: job has no runs")
-		return
-	}
-	if len(runs) > server.MaxBatchRuns {
-		writeError(w, http.StatusBadRequest, "cluster: job has %d runs, limit %d", len(runs), server.MaxBatchRuns)
-		return
-	}
-	for i := range runs {
-		if err := runs[i].Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "run %d: %v", i, err)
-			return
-		}
-	}
-	j := c.jobs.Create(req.Name, runs)
-	writeJSON(w, http.StatusAccepted, j.info(false))
-}
-
-func (c *Coordinator) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.jobs.List())
-}
-
-func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobs.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.info(r.URL.Query().Get("results") != ""))
-}
-
-func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	if !c.jobs.Cancel(r.PathValue("id")) {
-		writeError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleJobEvents streams a fleet job's SSE progress, wire-compatible
-// with dvsd's stream (client.StreamEvents works unchanged).
-func (c *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobs.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "cluster: no such job %q", r.PathValue("id"))
-		c.met.request("jobs.events", false)
-		return
-	}
-	c.met.request("jobs.events", true)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	j.stream(r.Context(), w)
-}
-
-// handlePolicies serves the policy registry locally: coordinator and
-// workers are built from the same binary's registry, so the answer is
-// authoritative without a proxy hop.
-func (c *Coordinator) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"policies": policies.Names(),
-		"wrappers": []string{"crit", "dual", "guard"},
-	})
 }
 
 // ClusterInfo is the wire form of GET /v1/cluster.
@@ -845,23 +618,23 @@ func (c *Coordinator) clusterInfo() ClusterInfo {
 		HealthyWorkers: c.healthyCount(),
 		RingNodes:      c.ring.Len(),
 		RingReplicas:   c.ring.replicas,
-		Draining:       c.draining.Load(),
+		Draining:       c.front.Draining(),
 	}
 }
 
 func (c *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.clusterInfo())
+	server.WriteJSON(w, http.StatusOK, c.clusterInfo())
 }
 
 // workerParam resolves the ?worker=addr query of the admin endpoints.
 func (c *Coordinator) workerParam(w http.ResponseWriter, r *http.Request) (string, bool) {
 	addr := r.URL.Query().Get("worker")
 	if addr == "" {
-		writeError(w, http.StatusBadRequest, "cluster: missing worker query parameter")
+		server.WriteError(w, http.StatusBadRequest, "cluster: missing worker query parameter")
 		return "", false
 	}
 	if _, ok := c.worker(addr); !ok {
-		writeError(w, http.StatusNotFound, "cluster: unknown worker %q", addr)
+		server.WriteError(w, http.StatusNotFound, "cluster: unknown worker %q", addr)
 		return "", false
 	}
 	return addr, true
@@ -873,7 +646,7 @@ func (c *Coordinator) handleCordon(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.Cordon(addr)
-	writeJSON(w, http.StatusOK, c.clusterInfo())
+	server.WriteJSON(w, http.StatusOK, c.clusterInfo())
 }
 
 func (c *Coordinator) handleUncordon(w http.ResponseWriter, r *http.Request) {
@@ -882,7 +655,7 @@ func (c *Coordinator) handleUncordon(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.Uncordon(addr)
-	writeJSON(w, http.StatusOK, c.clusterInfo())
+	server.WriteJSON(w, http.StatusOK, c.clusterInfo())
 }
 
 func (c *Coordinator) handleKill(w http.ResponseWriter, r *http.Request) {
@@ -891,15 +664,15 @@ func (c *Coordinator) handleKill(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.cfg.Kill(addr); err != nil {
-		writeError(w, http.StatusInternalServerError, "cluster: kill %s: %v", addr, err)
+		server.WriteError(w, http.StatusInternalServerError, "cluster: kill %s: %v", addr, err)
 		return
 	}
 	c.log.Warn("cluster: worker killed by request", "worker", addr)
-	writeJSON(w, http.StatusOK, map[string]string{"killed": addr})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"killed": addr})
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.met.snapshot(c))
+	server.WriteJSON(w, http.StatusOK, c.met.snapshot(c))
 }
 
 // handleMetricsProm federates the fleet's Prometheus text metrics:
@@ -924,7 +697,7 @@ func (c *Coordinator) handleMetricsProm(w http.ResponseWriter, r *http.Request) 
 	}
 	var buf bytes.Buffer
 	if err := obs.MergeExpositions(&buf, "worker", sources); err != nil {
-		writeError(w, http.StatusInternalServerError, "cluster: merging fleet metrics: %v", err)
+		server.WriteError(w, http.StatusInternalServerError, "cluster: merging fleet metrics: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)
@@ -950,7 +723,7 @@ type FleetTraceDump struct {
 // collection.
 func (c *Coordinator) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 	if c.tracer == nil {
-		writeError(w, http.StatusNotFound, "cluster: tracing disabled (start dvsfleet with -trace-buffer)")
+		server.WriteError(w, http.StatusNotFound, "cluster: tracing disabled (start dvsfleet with -trace-buffer)")
 		return
 	}
 	dump := FleetTraceDump{
@@ -989,33 +762,24 @@ func (c *Coordinator) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 		}
 		return dump.Spans[i].SpanID < dump.Spans[j].SpanID
 	})
-	writeJSON(w, http.StatusOK, dump)
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, dump)
 }
 
 // handleReadyz reports readiness: at least one worker in the ring and
 // not draining. A load balancer in front of several coordinators
 // steers traffic away from one whose fleet has collapsed.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	if c.front.Draining() {
+		w.Header().Set("Retry-After", server.DrainRetryAfter)
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	if c.ring.Len() == 0 {
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		w.Header().Set("Retry-After", server.ShedRetryAfter)
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "no ready workers", "workers": c.workerCount(),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }

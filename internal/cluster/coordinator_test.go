@@ -2,7 +2,11 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,25 +276,117 @@ func TestFleetReadyz(t *testing.T) {
 	}
 }
 
-// TestFleetBadRequests pins local validation: malformed and invalid
-// scenarios are rejected at the coordinator without a worker hop.
+// TestFleetBadRequests pins dvsd/dvsfleet parity on rejected
+// requests: each case goes to one embedded worker and to the
+// coordinator, and both must answer with the same status, Retry-After
+// and error body. The coordinator rejects them itself, without a
+// worker hop. It also pins the coordinator's X-Request-Deadline
+// handling: the header bounds the routed call, and an expired one
+// answers 503 + Retry-After.
 func TestFleetBadRequests(t *testing.T) {
 	f := newTestFleet(t, 1, Config{})
-	ctx := context.Background()
+	worker := f.workers[0]
 
-	_, err := f.c.Simulate(ctx, server.SimRequest{Policy: "lpshe"})
-	apiErr, ok := err.(*client.APIError)
-	if !ok || apiErr.StatusCode != 400 {
-		t.Fatalf("empty task set = %v, want 400 APIError", err)
+	valid, err := json.Marshal(testRequest("lpshe", 3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := f.coord.met.routed.With(f.workers[0].Addr()).Value()
+	tooMany := "{\"runs\": [" + strings.Repeat("{},", server.MaxBatchRuns) + "{}]}"
 
-	_, err = f.c.CreateJob(ctx, server.BatchRequest{Name: "empty"})
-	apiErr, ok = err.(*client.APIError)
-	if !ok || apiErr.StatusCode != 400 {
-		t.Fatalf("empty job = %v, want 400 APIError", err)
+	type answer struct {
+		status     int
+		retryAfter string
+		body       server.ErrorBody
 	}
-	if after := f.coord.met.routed.With(f.workers[0].Addr()).Value(); after != before {
-		t.Fatalf("invalid requests reached a worker (routed %v -> %v)", before, after)
+	send := func(base, method, path, body, deadline string) answer {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deadline != "" {
+			req.Header.Set("X-Request-Deadline", deadline)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		a := answer{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
+		if err := json.NewDecoder(resp.Body).Decode(&a.body); err != nil {
+			t.Fatalf("%s %s: decoding error body: %v", method, path, err)
+		}
+		return a
+	}
+
+	cases := []struct {
+		name, method, path, body, deadline string
+		status                             int
+	}{
+		{"empty task set", "POST", "/v1/simulate", `{"policy": "lpshe"}`, "", 400},
+		{"unknown field", "POST", "/v1/simulate", `{"bogus": 1}`, "", 400},
+		{"trailing data", "POST", "/v1/simulate", string(valid) + ` {}`, "", 400},
+		{"empty job", "POST", "/v1/jobs", `{"name": "empty"}`, "", 400},
+		{"too many runs", "POST", "/v1/jobs", tooMany, "", 400},
+		{"unknown job", "GET", "/v1/jobs/nope", "", "", 404},
+		{"cancel unknown job", "DELETE", "/v1/jobs/nope", "", "", 404},
+		{"events of unknown job", "GET", "/v1/jobs/nope/events", "", "", 404},
+		{"bogus deadline", "POST", "/v1/simulate", string(valid), "bogus", 400},
+	}
+	before := f.coord.met.routed.With(worker.Addr()).Value()
+	check := func(name, method, path, body, deadline string, status int) {
+		t.Helper()
+		dvsd := send("http://"+worker.Addr(), method, path, body, deadline)
+		fleet := send(f.hs.URL, method, path, body, deadline)
+		if dvsd.status != status {
+			t.Errorf("%s: dvsd status = %d, want %d", name, dvsd.status, status)
+		}
+		if !reflect.DeepEqual(dvsd, fleet) {
+			t.Errorf("%s: dvsd answered %+v, dvsfleet %+v", name, dvsd, fleet)
+		}
+	}
+	for _, tc := range cases {
+		check(tc.name, tc.method, tc.path, tc.body, tc.deadline, tc.status)
+	}
+	if after := f.coord.met.routed.With(worker.Addr()).Value(); after != before {
+		t.Fatalf("rejected requests reached a worker (routed %v -> %v)", before, after)
+	}
+
+	// A valid deadline bounds the routed call; one that has expired
+	// answers 503 + Retry-After: 1 instead of running.
+	if a := send(f.hs.URL, "POST", "/v1/simulate", string(valid), "30s"); a.status != 200 {
+		t.Fatalf("simulate with a 30s deadline: status %d (%+v)", a.status, a)
+	}
+	a := send(f.hs.URL, "POST", "/v1/simulate", string(valid), "1ns")
+	if a.status != http.StatusServiceUnavailable || a.retryAfter != "1" {
+		t.Fatalf("simulate with an expired deadline = %+v, want 503 + Retry-After 1", a)
+	}
+
+	// Draining: both answer new work with 503 + Retry-After.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := worker.srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.coord.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("draining", "POST", "/v1/simulate", string(valid), "", 503)
+}
+
+// TestFleetPanicRecovered: a panicking coordinator handler costs one
+// 500, as on dvsd, and the coordinator keeps serving.
+func TestFleetPanicRecovered(t *testing.T) {
+	f := newTestFleet(t, 1, Config{Kill: func(string) error { panic("boom") }})
+	resp, err := f.hs.Client().Post(f.hs.URL+"/v1/cluster/kill?worker="+f.workers[0].Addr(), "", nil)
+	if err != nil {
+		t.Fatalf("kill with a panicking Kill: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("kill status = %d, want 500", resp.StatusCode)
+	}
+	if _, err := f.c.Simulate(context.Background(), testRequest("lpshe", 5)); err != nil {
+		t.Fatalf("simulate after a recovered panic: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dvsslack/internal/obs"
+	"dvsslack/internal/server"
 )
 
 // latencyBuckets mirror dvsd's HTTP latency histogram bounds so
@@ -18,27 +19,28 @@ var latencyBuckets = []float64{
 // obs.Registry (served as Prometheus text on /metrics.prom and folded
 // into the /metrics JSON snapshot).
 type fleetMetrics struct {
+	// HTTPMetrics are the families the shared server.Frontend records.
+	// The coordinator exports no timeout, panic or SSE family, so
+	// those are bare counters.
+	server.HTTPMetrics
+
 	reg   *obs.Registry
 	start time.Time
-
-	requests    *obs.CounterVec // endpoint -> count
-	errors      *obs.CounterVec // endpoint -> non-2xx count
-	httpLatency *obs.HistogramVec
 
 	routed      *obs.CounterVec // worker -> requests routed to it
 	failovers   *obs.CounterVec // worker -> requests failed over away from it
 	retries     *obs.Counter    // re-routes past a shed/saturated worker (not marked down)
 	proxyErrors *obs.Counter    // requests that exhausted every candidate worker
 
-	jobsCreated  *obs.Counter
-	jobsFinished *obs.Counter
-	fanoutRuns   *obs.Counter // fleet-job runs fanned out to workers
+	fanoutRuns *obs.Counter // fleet-job runs fanned out to workers
 
 	migrations *obs.CounterVec // jobs live-migrated off a worker, by reason
 }
 
 func newFleetMetrics(c *Coordinator) *fleetMetrics {
 	m := &fleetMetrics{reg: obs.NewRegistry(), start: time.Now()}
+	m.Timeouts, m.Panics = new(obs.Counter), new(obs.Counter)
+	m.SSEDropped, m.SSELagged = new(obs.Counter), new(obs.Counter)
 	r := m.reg
 	r.GaugeFunc("dvsfleet_uptime_seconds", "seconds since the coordinator started",
 		func() float64 { return time.Since(m.start).Seconds() })
@@ -49,9 +51,9 @@ func newFleetMetrics(c *Coordinator) *fleetMetrics {
 	r.GaugeFunc("dvsfleet_ring_nodes", "workers currently owning ring keys",
 		func() float64 { return float64(c.ring.Len()) })
 
-	m.requests = r.CounterVec("dvsfleet_http_requests_total", "HTTP requests by endpoint", "endpoint")
-	m.errors = r.CounterVec("dvsfleet_http_request_errors_total", "non-2xx HTTP responses by endpoint", "endpoint")
-	m.httpLatency = r.HistogramVec("dvsfleet_http_request_seconds", "HTTP request wall time by endpoint",
+	m.Requests = r.CounterVec("dvsfleet_http_requests_total", "HTTP requests by endpoint", "endpoint")
+	m.Errors = r.CounterVec("dvsfleet_http_request_errors_total", "non-2xx HTTP responses by endpoint", "endpoint")
+	m.Latency = r.HistogramVec("dvsfleet_http_request_seconds", "HTTP request wall time by endpoint",
 		"endpoint", latencyBuckets)
 
 	m.routed = r.CounterVec("dvsfleet_routed_total", "simulate requests routed, by worker", "worker")
@@ -62,24 +64,13 @@ func newFleetMetrics(c *Coordinator) *fleetMetrics {
 	m.proxyErrors = r.Counter("dvsfleet_proxy_errors_total",
 		"simulate requests that exhausted every candidate worker")
 
-	m.jobsCreated = r.Counter("dvsfleet_jobs_created_total", "fleet jobs accepted")
-	m.jobsFinished = r.Counter("dvsfleet_jobs_finished_total", "fleet jobs reaching a terminal state")
+	m.JobsCreated = r.Counter("dvsfleet_jobs_created_total", "fleet jobs accepted")
+	m.JobsFinished = r.Counter("dvsfleet_jobs_finished_total", "fleet jobs reaching a terminal state")
 	m.fanoutRuns = r.Counter("dvsfleet_fanout_runs_total", "fleet-job runs fanned out across workers")
 
 	m.migrations = r.CounterVec("dvsfleet_migrations_total",
 		"jobs live-migrated off a worker via checkpoint/restore, by reason", "reason")
 	return m
-}
-
-func (m *fleetMetrics) request(endpoint string, ok bool) {
-	m.requests.With(endpoint).Inc()
-	if !ok {
-		m.errors.With(endpoint).Inc()
-	}
-}
-
-func (m *fleetMetrics) httpDone(endpoint string, d time.Duration) {
-	m.httpLatency.With(endpoint).Observe(d.Seconds())
 }
 
 func (m *fleetMetrics) writeProm(w io.Writer) error { return m.reg.WriteProm(w) }
@@ -121,12 +112,12 @@ func (m *fleetMetrics) snapshot(c *Coordinator) FleetSnapshot {
 		Errors:         map[string]uint64{},
 		Retries:        uint64(m.retries.Value()),
 		ProxyErrors:    uint64(m.proxyErrors.Value()),
-		JobsCreated:    uint64(m.jobsCreated.Value()),
-		JobsFinished:   uint64(m.jobsFinished.Value()),
+		JobsCreated:    uint64(m.JobsCreated.Value()),
+		JobsFinished:   uint64(m.JobsFinished.Value()),
 		FanoutRuns:     uint64(m.fanoutRuns.Value()),
 	}
-	m.requests.Each(func(label string, c *obs.Counter) { s.Requests[label] = uint64(c.Value()) })
-	m.errors.Each(func(label string, c *obs.Counter) { s.Errors[label] = uint64(c.Value()) })
+	m.Requests.Each(func(label string, c *obs.Counter) { s.Requests[label] = uint64(c.Value()) })
+	m.Errors.Each(func(label string, c *obs.Counter) { s.Errors[label] = uint64(c.Value()) })
 	m.routed.Each(func(_ string, c *obs.Counter) { s.Routed += uint64(c.Value()) })
 	m.failovers.Each(func(_ string, c *obs.Counter) { s.Failovers += uint64(c.Value()) })
 	m.migrations.Each(func(_ string, c *obs.Counter) { s.Migrations += uint64(c.Value()) })

@@ -171,7 +171,7 @@ func (s *Server) RecoverCheckpoints() (int, error) {
 		}
 		var j *job
 		if err == nil {
-			j, err = s.jobs.Restore(s.baseCtx, &doc)
+			j, err = s.front.jobs.Restore(s.front.baseCtx, &doc)
 		}
 		if err != nil {
 			s.met.restores.With("error").Inc()
@@ -197,7 +197,7 @@ func (s *Server) pruneCheckpointFiles() {
 	if s.cfg.CheckpointDir == "" {
 		return
 	}
-	for _, j := range s.jobs.all() {
+	for _, j := range s.front.jobs.all() {
 		j.mu.Lock()
 		st := j.state
 		j.mu.Unlock()
@@ -217,11 +217,11 @@ func (s *Server) autoCheckpointLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.baseCtx.Done():
+		case <-s.front.baseCtx.Done():
 			return
 		case <-t.C:
 		}
-		if s.draining.Load() {
+		if s.front.Draining() {
 			continue
 		}
 		s.autoCheckpointOnce()
@@ -237,7 +237,7 @@ func (s *Server) autoCheckpointOnce() {
 	if wait > time.Second {
 		wait = time.Second
 	}
-	for _, j := range s.jobs.all() {
+	for _, j := range s.front.jobs.all() {
 		j.mu.Lock()
 		st := j.state
 		j.mu.Unlock()
@@ -263,16 +263,16 @@ func (s *Server) autoCheckpointOnce() {
 func (s *Server) handleCheckpointJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	start := time.Now()
-	doc, err := s.jobs.Checkpoint(r.Context(), id)
+	doc, err := s.front.jobs.Checkpoint(r.Context(), id)
 	switch {
 	case errors.Is(err, errNoSuchJob):
-		writeError(w, http.StatusNotFound, "server: no such job %q", id)
+		WriteError(w, http.StatusNotFound, "server: no such job %q", id)
 		return
 	case err != nil:
 		// The pause did not settle within the request deadline; the
 		// job keeps running, the client can retry.
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "server: checkpoint did not settle: %v", err)
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "server: checkpoint did not settle: %v", err)
 		return
 	}
 	s.met.checkpoints.Inc()
@@ -285,26 +285,26 @@ func (s *Server) handleCheckpointJob(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleRestoreJob answers POST /v1/jobs/restore: validate a
 // checkpoint document and resume it as a fresh job. Restores reject
 // while draining (they are new work).
 func (s *Server) handleRestoreJob(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfDraining(w) {
+	if s.front.rejectIfDraining(w) {
 		return
 	}
 	var doc JobCheckpoint
-	if !s.decodeBody(w, r, &doc) {
+	if !s.front.decodeBody(w, r, &doc) {
 		return
 	}
-	j, err := s.jobs.Restore(s.baseCtx, &doc)
+	j, err := s.front.jobs.Restore(s.front.baseCtx, &doc)
 	if err != nil {
 		s.met.restores.With("error").Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.met.restores.With("ok").Inc()
-	writeJSON(w, http.StatusAccepted, j.info(false))
+	WriteJSON(w, http.StatusAccepted, j.info(false))
 }

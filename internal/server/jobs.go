@@ -317,10 +317,13 @@ func (j *job) liveCheckpoint(wait time.Duration) *JobCheckpoint {
 	return doc
 }
 
-// jobStore owns every job and their runner goroutines.
+// jobStore owns every job and their runner goroutines. Each run
+// executes through exec, at most width() of a job's runs at a time.
 type jobStore struct {
-	pool *pool
-	met  *metrics
+	prefix string
+	exec   RunFunc
+	width  func() int
+	met    *HTTPMetrics
 
 	nextID atomic.Uint64
 
@@ -330,19 +333,19 @@ type jobStore struct {
 	order []string
 }
 
-func newJobStore(pool *pool, met *metrics) *jobStore {
-	return &jobStore{pool: pool, met: met, jobs: map[string]*job{}}
+func newJobStore(prefix string, exec RunFunc, width func() int, met *HTTPMetrics) *jobStore {
+	return &jobStore{prefix: prefix, exec: exec, width: width, met: met, jobs: map[string]*job{}}
 }
 
 // Create registers a job for the given runs and starts executing it.
 func (s *jobStore) Create(parent context.Context, name string, runs []SimRequest) *job {
 	ctx, cancel := context.WithCancel(parent)
 	j := &job{
-		id:        fmt.Sprintf("j%d", s.nextID.Add(1)),
+		id:        s.prefix + strconv.FormatUint(s.nextID.Add(1), 10),
 		name:      name,
 		created:   time.Now(),
 		cancel:    cancel,
-		onLost:    s.met.sseLagged.Inc,
+		onLost:    s.met.SSELagged.Inc,
 		state:     JobQueued,
 		runs:      runs,
 		subs:      map[chan JobEvent]struct{}{},
@@ -356,7 +359,7 @@ func (s *jobStore) Create(parent context.Context, name string, runs []SimRequest
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
-	s.met.jobCreated()
+	s.met.JobsCreated.Inc()
 	go s.run(ctx, j)
 	return j
 }
@@ -372,11 +375,11 @@ func (s *jobStore) Restore(parent context.Context, doc *JobCheckpoint) (*job, er
 	}
 	ctx, cancel := context.WithCancel(parent)
 	j := &job{
-		id:        fmt.Sprintf("j%d", s.nextID.Add(1)),
+		id:        s.prefix + strconv.FormatUint(s.nextID.Add(1), 10),
 		name:      doc.Name,
 		created:   time.Now(),
 		cancel:    cancel,
-		onLost:    s.met.sseLagged.Inc,
+		onLost:    s.met.SSELagged.Inc,
 		state:     JobQueued,
 		runs:      append([]SimRequest(nil), doc.Runs...),
 		subs:      map[chan JobEvent]struct{}{},
@@ -401,14 +404,14 @@ func (s *jobStore) Restore(parent context.Context, doc *JobCheckpoint) (*job, er
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
-	s.met.jobCreated()
+	s.met.JobsCreated.Inc()
 	go s.run(ctx, j)
 	return j, nil
 }
 
-// run executes a job's runs across the shared pool, keeping at most
-// 2× the worker count outstanding so one huge job cannot monopolize
-// the queue against concurrent jobs and single-run requests.
+// run executes a job's runs, keeping at most width() outstanding so
+// one huge job cannot monopolize the capacity behind exec against
+// concurrent jobs and single-run requests.
 func (s *jobStore) run(ctx context.Context, j *job) {
 	j.mu.Lock()
 	j.state = JobRunning
@@ -418,7 +421,7 @@ func (s *jobStore) run(ctx context.Context, j *job) {
 	// Run failures are recorded per outcome and never surfaced as a
 	// ForEach error, so cancellation (or a pause) is the only thing
 	// that stops the sweep early.
-	_ = par.ForEach(2*s.pool.workers, len(j.runs), func(i int) error {
+	_ = par.ForEach(s.width(), len(j.runs), func(i int) error {
 		if ctx.Err() != nil {
 			return nil // cancelled: stop submitting further runs
 		}
@@ -442,7 +445,7 @@ func (s *jobStore) run(ctx context.Context, j *job) {
 			j.mu.Unlock()
 			return nil
 		}
-		res, ckpt, err := s.pool.DoRun(ctx, &j.runs[i], snap, ctl)
+		res, ckpt, err := s.exec(ctx, &j.runs[i], snap, ctl)
 		j.mu.Lock()
 		delete(j.ctls, i)
 		j.mu.Unlock()
@@ -468,7 +471,7 @@ func (s *jobStore) run(ctx context.Context, j *job) {
 		state = JobFailed
 	}
 	j.finish(state)
-	s.met.jobFinished()
+	s.met.JobsFinished.Inc()
 }
 
 // Get returns a job by ID.

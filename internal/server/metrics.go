@@ -19,12 +19,10 @@ var latencyBuckets = []float64{
 // snapshot (whose shape predates the registry and is kept
 // byte-compatible).
 type metrics struct {
+	HTTPMetrics // request, job and SSE families the Frontend records
+
 	reg   *obs.Registry
 	start time.Time
-
-	requests    *obs.CounterVec // endpoint label -> count
-	errors      *obs.CounterVec // endpoint label -> non-2xx count
-	httpLatency *obs.HistogramVec
 
 	simsRun         *obs.Counter // fresh simulations executed
 	simsFailed      *obs.Counter // simulations that returned an error
@@ -33,10 +31,8 @@ type metrics struct {
 	simSeconds      *obs.Counter // total simulated time of fresh runs
 	busySeconds     *obs.Counter // total wall-clock spent simulating (sums across workers)
 
-	queueDepth   *obs.Gauge // runnable work items waiting for a worker
-	inFlight     *obs.Gauge // work items currently executing
-	jobsCreated  *obs.Counter
-	jobsFinished *obs.Counter
+	queueDepth *obs.Gauge // runnable work items waiting for a worker
+	inFlight   *obs.Gauge // work items currently executing
 
 	policyLatency *obs.HistogramVec // fresh-run wall latency by policy
 
@@ -46,10 +42,6 @@ type metrics struct {
 	restores    *obs.CounterVec // job restores by outcome ("ok"/"error")
 
 	shed          *obs.Counter    // sync requests refused by admission control
-	panics        *obs.Counter    // handler panics converted to 500s
-	reqTimeouts   *obs.Counter    // requests that hit their deadline
-	sseDropped    *obs.Counter    // SSE consumers dropped for slow/failed writes
-	sseLagged     *obs.Counter    // SSE events lost to full subscriber buffers
 	chaosInjected *obs.CounterVec // injected fault counts by class (chaos mode)
 }
 
@@ -63,9 +55,9 @@ func newMetrics(workers int, cache *resultCache) *metrics {
 	r.GaugeFunc("dvsd_workers", "simulation worker-pool size",
 		func() float64 { return float64(workers) })
 
-	m.requests = r.CounterVec("dvsd_http_requests_total", "HTTP requests by endpoint", "endpoint")
-	m.errors = r.CounterVec("dvsd_http_request_errors_total", "non-2xx HTTP responses by endpoint", "endpoint")
-	m.httpLatency = r.HistogramVec("dvsd_http_request_seconds", "HTTP request wall time by endpoint",
+	m.Requests = r.CounterVec("dvsd_http_requests_total", "HTTP requests by endpoint", "endpoint")
+	m.Errors = r.CounterVec("dvsd_http_request_errors_total", "non-2xx HTTP responses by endpoint", "endpoint")
+	m.Latency = r.HistogramVec("dvsd_http_request_seconds", "HTTP request wall time by endpoint",
 		"endpoint", latencyBuckets)
 
 	m.simsRun = r.Counter("dvsd_sims_total", "fresh (non-cached) simulations executed")
@@ -77,8 +69,8 @@ func newMetrics(workers int, cache *resultCache) *metrics {
 
 	m.queueDepth = r.Gauge("dvsd_queue_depth", "runnable work items waiting for a worker")
 	m.inFlight = r.Gauge("dvsd_inflight_runs", "work items currently executing")
-	m.jobsCreated = r.Counter("dvsd_jobs_created_total", "batch jobs accepted")
-	m.jobsFinished = r.Counter("dvsd_jobs_finished_total", "batch jobs reaching a terminal state")
+	m.JobsCreated = r.Counter("dvsd_jobs_created_total", "batch jobs accepted")
+	m.JobsFinished = r.Counter("dvsd_jobs_finished_total", "batch jobs reaching a terminal state")
 
 	m.policyLatency = r.HistogramVec("dvsd_policy_run_seconds", "fresh-run wall latency by policy",
 		"policy", latencyBuckets)
@@ -89,10 +81,10 @@ func newMetrics(workers int, cache *resultCache) *metrics {
 	m.restores = r.CounterVec("dvsd_restores_total", "job restores by outcome", "outcome")
 
 	m.shed = r.Counter("dvsd_shed_total", "synchronous requests refused by admission control (429)")
-	m.panics = r.Counter("dvsd_panics_total", "handler panics recovered into 500 responses")
-	m.reqTimeouts = r.Counter("dvsd_request_timeouts_total", "requests that exhausted their deadline before completing")
-	m.sseDropped = r.Counter("dvsd_sse_dropped_total", "SSE subscribers dropped for slow or failed writes")
-	m.sseLagged = r.Counter("dvsd_sse_lagged_events_total", "SSE progress events lost to full subscriber buffers")
+	m.Panics = r.Counter("dvsd_panics_total", "handler panics recovered into 500 responses")
+	m.Timeouts = r.Counter("dvsd_request_timeouts_total", "requests that exhausted their deadline before completing")
+	m.SSEDropped = r.Counter("dvsd_sse_dropped_total", "SSE subscribers dropped for slow or failed writes")
+	m.SSELagged = r.Counter("dvsd_sse_lagged_events_total", "SSE progress events lost to full subscriber buffers")
 	m.chaosInjected = r.CounterVec("dvsd_chaos_injected_total", "faults injected by the chaos middleware", "fault")
 
 	r.GaugeFunc("dvsd_cache_entries", "result-cache entries",
@@ -104,25 +96,9 @@ func newMetrics(workers int, cache *resultCache) *metrics {
 	return m
 }
 
-func (m *metrics) request(endpoint string, ok bool) {
-	m.requests.With(endpoint).Inc()
-	if !ok {
-		m.errors.With(endpoint).Inc()
-	}
-}
-
-// httpDone records one instrumented request's wall time.
-func (m *metrics) httpDone(endpoint string, d time.Duration) {
-	m.httpLatency.With(endpoint).Observe(d.Seconds())
-}
-
 func (m *metrics) enqueue(delta int) { m.queueDepth.Add(float64(delta)) }
 
 func (m *metrics) running(delta int) { m.inFlight.Add(float64(delta)) }
-
-func (m *metrics) jobCreated() { m.jobsCreated.Inc() }
-
-func (m *metrics) jobFinished() { m.jobsFinished.Inc() }
 
 // auditDone records one audited simulation and its violation count.
 func (m *metrics) auditDone(violations int) {
@@ -225,18 +201,18 @@ func (m *metrics) snapshot(workers int, cache *resultCache) MetricsSnapshot {
 		CacheEntries:    cache.Len(),
 		CacheHits:       hits,
 		CacheMisses:     misses,
-		JobsCreated:     uint64(m.jobsCreated.Value()),
-		JobsFinished:    uint64(m.jobsFinished.Value()),
+		JobsCreated:     uint64(m.JobsCreated.Value()),
+		JobsFinished:    uint64(m.JobsFinished.Value()),
 		Shed:            uint64(m.shed.Value()),
-		Panics:          uint64(m.panics.Value()),
-		RequestTimeouts: uint64(m.reqTimeouts.Value()),
-		SSEDropped:      uint64(m.sseDropped.Value()),
-		SSELagged:       uint64(m.sseLagged.Value()),
+		Panics:          uint64(m.Panics.Value()),
+		RequestTimeouts: uint64(m.Timeouts.Value()),
+		SSEDropped:      uint64(m.SSEDropped.Value()),
+		SSELagged:       uint64(m.SSELagged.Value()),
 	}
-	m.requests.Each(func(label string, c *obs.Counter) {
+	m.Requests.Each(func(label string, c *obs.Counter) {
 		s.Requests[label] = uint64(c.Value())
 	})
-	m.errors.Each(func(label string, c *obs.Counter) {
+	m.Errors.Each(func(label string, c *obs.Counter) {
 		s.Errors[label] = uint64(c.Value())
 	})
 	s.Checkpoints = uint64(m.checkpoints.Value())

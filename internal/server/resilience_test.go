@@ -182,8 +182,8 @@ func TestReadyz(t *testing.T) {
 		t.Fatal("saturated readyz is missing the Retry-After header")
 	}
 
-	s.draining.Store(true)
-	defer s.draining.Store(false)
+	s.front.draining.Store(true)
+	defer s.front.draining.Store(false)
 	if resp, body := get(); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
 		t.Fatalf("draining readyz = %d %q, want 503 draining", resp.StatusCode, body)
 	}
@@ -433,7 +433,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 	if code := <-syncDone; code != http.StatusOK {
 		t.Fatalf("in-flight sync request finished with %d, want 200", code)
 	}
-	j, ok := s.jobs.Get(info.ID)
+	j, ok := s.front.jobs.Get(info.ID)
 	if !ok {
 		t.Fatal("job vanished during drain")
 	}
@@ -466,7 +466,7 @@ func TestShutdownHardCancelsStragglers(t *testing.T) {
 		t.Fatalf("shutdown error = %v, want context.Canceled", err)
 	}
 
-	j, ok := s.jobs.Get(info.ID)
+	j, ok := s.front.jobs.Get(info.ID)
 	if !ok {
 		t.Fatal("job vanished")
 	}

@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 
 	"dvsslack/internal/scenario"
@@ -19,24 +17,8 @@ import (
 // verdict reports ok=false); 4xx is reserved for documents that do
 // not validate, with every validation error listed.
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfDraining(w) {
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading scenario body: %v", err)
-		return
-	}
-	doc, errs := scenario.Parse("scenario", body)
-	if len(errs) > 0 {
-		msgs := make([]string, len(errs))
-		for i, e := range errs {
-			msgs[i] = e.Error()
-		}
-		writeJSON(w, http.StatusBadRequest, ErrorBody{
-			Error:  fmt.Sprintf("scenario failed validation with %d error(s): %s", len(errs), msgs[0]),
-			Errors: msgs,
-		})
+	_, doc, ok := s.front.ReadScenario(w, r)
+	if !ok {
 		return
 	}
 	// Scenario runs execute on the request goroutine (one audited
@@ -44,22 +26,22 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// many run at once, exactly like synchronous /v1/simulate.
 	if err := s.admit.TryAcquire(); err != nil {
 		s.met.shed.Inc()
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
 	defer s.admit.Release()
 	v, err := scenario.Execute(r.Context(), doc)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "server: request deadline exceeded")
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "server: request deadline exceeded")
 		return
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusRequestTimeout, "%v", err)
+		WriteError(w, http.StatusRequestTimeout, "%v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	s.met.scenariosRun.Inc()

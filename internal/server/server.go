@@ -2,20 +2,16 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"dvsslack/internal/obs"
-	"dvsslack/internal/policies"
 	"dvsslack/internal/resilience"
 	"dvsslack/internal/trace"
 )
@@ -92,22 +88,17 @@ type Server struct {
 	cfg     Config
 	workers int
 	pool    *pool
-	jobs    *jobStore
+	front   *Frontend // request plumbing, job store, drain gate
 	cache   *resultCache
 	met     *metrics
 	log     *slog.Logger
 	mux     *http.ServeMux
 	handler http.Handler // mux behind recovery (and chaos) middleware
 
-	admit      *resilience.Limiter // sync-request admission budget
-	sseTimeout time.Duration
+	admit *resilience.Limiter // sync-request admission budget
 
 	tracer *obs.Tracer
 	flight *obs.FlightRecorder
-
-	draining atomic.Bool
-	baseCtx  context.Context
-	baseStop context.CancelFunc
 }
 
 // New builds a ready-to-serve Server.
@@ -123,9 +114,6 @@ func New(cfg Config) *Server {
 	case cacheSize < 0:
 		cacheSize = 0
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
-	}
 	s := &Server{cfg: cfg, workers: workers}
 	s.log = cfg.Logger
 	if s.log == nil {
@@ -138,23 +126,29 @@ func New(cfg Config) *Server {
 	s.cache = newResultCache(cacheSize)
 	s.met = newMetrics(workers, s.cache)
 	s.pool = newPool(workers, cfg.QueueDepth, s.cache, s.met, s.tracer, s.flight)
-	s.jobs = newJobStore(s.pool, s.met)
-	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
+	s.front = NewFrontend(FrontendSpec{
+		Service:         "dvsd",
+		JobPrefix:       "j",
+		Log:             s.log,
+		Tracer:          s.tracer,
+		RequestTimeout:  cfg.RequestTimeout,
+		SSEWriteTimeout: cfg.SSEWriteTimeout,
+		MaxBodyBytes:    cfg.MaxBodyBytes,
+		Metrics:         &s.met.HTTPMetrics,
+		Run:             s.pool.DoRun,
+		// Two runs per pool worker in flight per job keeps the pool
+		// busy without one job filling the queue.
+		Width: func() int { return 2 * s.pool.workers },
+	})
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	mux.HandleFunc("POST /v1/scenario", s.instrument("scenario", s.handleScenario))
-	mux.HandleFunc("POST /v1/jobs", s.instrument("jobs.create", s.handleCreateJob))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("jobs.list", s.handleListJobs))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs.get", s.handleGetJob))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("jobs.cancel", s.handleCancelJob))
-	mux.HandleFunc("POST /v1/jobs/{id}/checkpoint", s.instrument("jobs.checkpoint", s.handleCheckpointJob))
-	mux.HandleFunc("POST /v1/jobs/restore", s.instrument("jobs.restore", s.handleRestoreJob))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents) // SSE, self-instrumented
-	mux.HandleFunc("GET /v1/policies", s.instrument("policies", s.handlePolicies))
+	s.front.Mount(mux)
+	mux.HandleFunc("POST /v1/simulate", s.front.Instrument("simulate", s.handleSimulate))
+	mux.HandleFunc("POST /v1/scenario", s.front.Instrument("scenario", s.handleScenario))
+	mux.HandleFunc("POST /v1/jobs/{id}/checkpoint", s.front.Instrument("jobs.checkpoint", s.handleCheckpointJob))
+	mux.HandleFunc("POST /v1/jobs/restore", s.front.Instrument("jobs.restore", s.handleRestoreJob))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.prom", s.handleMetricsProm)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /debug/trace", s.handleTraceDump)
 	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightRecorder)
@@ -181,11 +175,6 @@ func New(cfg Config) *Server {
 	s.met.reg.GaugeFunc("dvsd_admit_capacity", "admission budget for synchronous requests",
 		func() float64 { return float64(s.admit.Capacity()) })
 
-	s.sseTimeout = cfg.SSEWriteTimeout
-	if s.sseTimeout <= 0 {
-		s.sseTimeout = 5 * time.Second
-	}
-
 	// Middleware chain, outermost first: panic recovery (a handler
 	// bug costs one 500, not the process), then fault injection when
 	// configured. Ops endpoints are exempt from chaos so probes and
@@ -205,10 +194,7 @@ func New(cfg Config) *Server {
 		}
 		s.handler = chaos.Middleware(s.handler)
 	}
-	s.handler = resilience.Recover(s.handler, func(v any) {
-		s.met.panics.Inc()
-		s.log.Error("handler panic recovered", "panic", fmt.Sprint(v))
-	})
+	s.handler = s.front.Recover(s.handler)
 	if cfg.CheckpointDir != "" && cfg.CheckpointInterval > 0 {
 		go s.autoCheckpointLoop()
 	}
@@ -234,16 +220,15 @@ func (s *Server) Workers() int { return s.workers }
 // first (http.Server's own Shutdown), so no new requests arrive
 // mid-drain.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	err := s.jobs.WaitIdle(ctx)
+	err := s.front.Drain(ctx)
 	if err != nil {
 		// Deadline hit: settle the stragglers quickly but cleanly.
 		hard, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if s.cfg.CheckpointDir != "" {
-			// Checkpoint before baseStop: cancelling the job contexts
+			// Checkpoint before Stop: cancelling the job contexts
 			// first would abandon the very runs being snapshotted.
-			for _, doc := range s.jobs.CheckpointAll(hard) {
+			for _, doc := range s.front.jobs.CheckpointAll(hard) {
 				if werr := writeCheckpointFile(s.cfg.CheckpointDir, doc); werr != nil {
 					s.log.Warn("drain checkpoint failed", "job", doc.JobID, "err", werr)
 					continue
@@ -253,164 +238,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 					"job", doc.JobID, "snapshots", len(doc.Snapshots), "outcomes", len(doc.Outcomes))
 			}
 		}
-		s.jobs.CancelAll(hard)
-		s.baseStop()
+		s.front.Stop(hard)
 		s.pool.Drain(hard)
 		s.pruneCheckpointFiles()
 		return err
 	}
-	s.baseStop()
+	s.front.Stop(ctx)
 	err = s.pool.Drain(ctx)
 	s.pruneCheckpointFiles()
 	return err
-}
-
-// --- plumbing ---
-
-// statusWriter records the response code for metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Unwrap keeps http.ResponseController upgrades (flush, write
-// deadlines) working through the wrapper.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// requestDeadline resolves the effective deadline of one request:
-// the tighter of the server-wide RequestTimeout and the client's
-// X-Request-Deadline header (a Go duration, e.g. "750ms"). 0 means
-// unbounded.
-func (s *Server) requestDeadline(r *http.Request) (time.Duration, error) {
-	d := s.cfg.RequestTimeout
-	if h := r.Header.Get("X-Request-Deadline"); h != "" {
-		cd, err := time.ParseDuration(h)
-		if err != nil || cd <= 0 {
-			return 0, fmt.Errorf("server: invalid X-Request-Deadline %q (want a positive Go duration)", h)
-		}
-		if d == 0 || cd < d {
-			d = cd
-		}
-	}
-	return d, nil
-}
-
-// instrument wraps a handler with request counting, latency
-// recording, per-request deadline enforcement, and request-ID access
-// logging. A valid inbound X-Request-ID (a coordinator hop or a
-// client-supplied ID) is adopted so fleet logs correlate; otherwise a
-// fresh ID is minted. Either way the ID is returned in X-Request-ID.
-// An inbound traceparent header is continued: the handler runs inside
-// a server span (when tracing is on) and the request context carries
-// the span context for the simulation pool and outbound calls.
-func (s *Server) instrument(label string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
-		if !obs.ValidRequestID(id) {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", id)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		deadline, err := s.requestDeadline(r)
-		if err != nil {
-			s.met.request(label, false)
-			writeError(sw, http.StatusBadRequest, "%v", err)
-			return
-		}
-		parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		span := s.tracer.StartSpan(parent, "dvsd."+label) // nil-safe: nil span when tracing is off
-		sc := span.Context()
-		if !sc.Valid() {
-			sc = parent // propagate the inbound context even with recording off
-		}
-		ctx := obs.ContextWithRequestID(r.Context(), id)
-		if sc.Valid() {
-			ctx = obs.ContextWithSpanContext(ctx, sc)
-		}
-		if deadline > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, deadline)
-			defer cancel()
-		}
-		r = r.WithContext(ctx)
-		start := time.Now()
-		h(sw, r)
-		dur := time.Since(start)
-		if deadline > 0 && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.met.reqTimeouts.Inc()
-		}
-		s.met.request(label, sw.code < 400)
-		s.met.httpDone(label, dur)
-		span.SetAttr("endpoint", label)
-		span.SetAttr("status", strconv.Itoa(sw.code))
-		span.SetAttr("request_id", id)
-		span.End()
-		attrs := []slog.Attr{
-			slog.String("id", id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("endpoint", label),
-			slog.Int("status", sw.code),
-			slog.Duration("dur", dur),
-		}
-		if sc.Valid() {
-			attrs = append(attrs, slog.String("trace", sc.TraceID.String()))
-		}
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, ErrorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeBody strictly decodes a JSON request body into v.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "invalid request body: trailing data")
-		return false
-	}
-	io.Copy(io.Discard, body)
-	return true
-}
-
-// drainRetryAfter is the Retry-After hint (seconds) on draining 503s:
-// long enough for a load balancer to fail over, short enough that a
-// client retrying the same address after a rolling restart succeeds.
-const drainRetryAfter = "5"
-
-// shedRetryAfter is the Retry-After hint (seconds) on shed (429) and
-// deadline-exceeded (503) responses: overload is expected to clear on
-// the scale of in-flight run latency, not process lifetime.
-const shedRetryAfter = "1"
-
-func (s *Server) rejectIfDraining(w http.ResponseWriter) bool {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "%v", ErrDraining)
-		return true
-	}
-	return false
 }
 
 // --- handlers ---
@@ -421,19 +257,12 @@ func (s *Server) rejectIfDraining(w http.ResponseWriter) bool {
 // cache hits, so degradation is graceful rather than a goroutine
 // pile-up.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfDraining(w) {
+	req := s.front.DecodeSimulate(w, r)
+	if req == nil {
 		return
 	}
-	var req SimRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if res, ok := s.pool.Lookup(&req); ok {
-		writeJSON(w, http.StatusOK, res)
+	if res, ok := s.pool.Lookup(req); ok {
+		WriteJSON(w, http.StatusOK, res)
 		return
 	}
 	admitStart := time.Now()
@@ -446,157 +275,37 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.met.shed.Inc()
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
 	defer s.admit.Release()
-	res, err := s.pool.Do(r.Context(), &req)
+	res, err := s.pool.Do(r.Context(), req)
 	switch {
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		w.Header().Set("Retry-After", DrainRetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		// The per-request deadline (server -request-timeout or client
 		// X-Request-Deadline) expired before a worker finished the
 		// run: the work is abandoned to the cache and the client is
 		// told to come back.
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "server: request deadline exceeded")
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "server: request deadline exceeded")
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusRequestTimeout, "%v", err)
+		WriteError(w, http.StatusRequestTimeout, "%v", err)
 	case err != nil:
 		// The request validated but the run failed (e.g. a strict
 		// deadline miss): the fault is in the requested scenario.
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 	}
-}
-
-// handleCreateJob answers POST /v1/jobs: submit a batch, get an ID.
-func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
-	if s.rejectIfDraining(w) {
-		return
-	}
-	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	runs := req.Runs
-	if req.Sweep != nil {
-		expanded, err := req.Sweep.Expand()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		runs = append(runs, expanded...)
-	}
-	if len(runs) == 0 {
-		writeError(w, http.StatusBadRequest, "server: job has no runs")
-		return
-	}
-	if len(runs) > MaxBatchRuns {
-		writeError(w, http.StatusBadRequest, "server: job has %d runs, limit %d", len(runs), MaxBatchRuns)
-		return
-	}
-	for i := range runs {
-		if err := runs[i].Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "run %d: %v", i, err)
-			return
-		}
-	}
-	j := s.jobs.Create(s.baseCtx, req.Name, runs)
-	writeJSON(w, http.StatusAccepted, j.info(false))
-}
-
-// handleListJobs answers GET /v1/jobs.
-func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.jobs.List())
-}
-
-// handleGetJob answers GET /v1/jobs/{id}; ?results=1 includes per-run
-// outcomes.
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
-		return
-	}
-	withResults := r.URL.Query().Get("results") != ""
-	writeJSON(w, http.StatusOK, j.info(withResults))
-}
-
-// handleCancelJob answers DELETE /v1/jobs/{id}.
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	if !s.jobs.Cancel(r.PathValue("id")) {
-		writeError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleJobEvents answers GET /v1/jobs/{id}/events with an SSE stream
-// of progress events, ending with an "end" event when the job reaches
-// a terminal state. Every write is armed with the configured write
-// deadline: a consumer that stops reading is dropped (and counted in
-// dvsd_sse_dropped_total) instead of pinning this goroutine to a dead
-// connection.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "server: no such job %q", r.PathValue("id"))
-		s.met.request("jobs.events", false)
-		return
-	}
-	s.met.request("jobs.events", true)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	ch, snapshot, unsub := j.subscribe()
-	defer unsub()
-	sink := &httpSSESink{w: w, rc: http.NewResponseController(w)}
-	if err := streamJob(r.Context(), sink, j, snapshot, ch, s.sseTimeout); err != nil {
-		s.met.sseDropped.Inc()
-		s.log.LogAttrs(r.Context(), slog.LevelWarn, "sse consumer dropped",
-			slog.String("job", j.id), slog.String("err", err.Error()))
-	}
-}
-
-// httpSSESink adapts an http.ResponseWriter (through its
-// ResponseController, so write deadlines survive middleware
-// wrapping) to the sseSink interface streamJob consumes.
-type httpSSESink struct {
-	w  http.ResponseWriter
-	rc *http.ResponseController
-}
-
-func (s *httpSSESink) Write(p []byte) (int, error) { return s.w.Write(p) }
-
-func (s *httpSSESink) SetWriteDeadline(t time.Time) error { return s.rc.SetWriteDeadline(t) }
-
-func (s *httpSSESink) Flush() error {
-	err := s.rc.Flush()
-	if errors.Is(err, http.ErrNotSupported) {
-		// A buffering transport cannot stream, but the events still
-		// arrive when the response completes; not a dropped consumer.
-		return nil
-	}
-	return err
-}
-
-// handlePolicies answers GET /v1/policies with the registry names.
-func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"policies": policies.Names(),
-		"wrappers": []string{"crit", "dual", "guard"},
-	})
 }
 
 // handleMetrics answers GET /metrics with a JSON snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.met.snapshot(s.workers, s.cache))
+	WriteJSON(w, http.StatusOK, s.met.snapshot(s.workers, s.cache))
 }
 
 // handleMetricsProm answers GET /metrics.prom with the Prometheus
@@ -610,20 +319,20 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 // ring as JSON; 404 when tracing is disabled (no -trace-buffer).
 func (s *Server) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, "server: tracing disabled (start dvsd with -trace-buffer)")
+		WriteError(w, http.StatusNotFound, "server: tracing disabled (start dvsd with -trace-buffer)")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.tracer.Dump())
+	WriteJSON(w, http.StatusOK, s.tracer.Dump())
 }
 
 // handleFlightRecorder answers GET /debug/flightrecorder with the
 // decision flight recorder snapshot; 404 when disabled (-flight -1).
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 	if s.flight == nil {
-		writeError(w, http.StatusNotFound, "server: flight recorder disabled (-flight -1)")
+		WriteError(w, http.StatusNotFound, "server: flight recorder disabled (-flight -1)")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.flight.Snapshot())
+	WriteJSON(w, http.StatusOK, s.flight.Snapshot())
 }
 
 // handleFlightTrace answers GET /debug/flightrecorder.trace with the
@@ -631,22 +340,12 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 // decision instants + flow chain, loadable in Perfetto).
 func (s *Server) handleFlightTrace(w http.ResponseWriter, r *http.Request) {
 	if s.flight == nil {
-		writeError(w, http.StatusNotFound, "server: flight recorder disabled (-flight -1)")
+		WriteError(w, http.StatusNotFound, "server: flight recorder disabled (-flight -1)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	trace.NewRecorder().ChromeTraceFlight(w, nil, s.flight.Records())
-}
-
-// handleHealthz answers GET /healthz (liveness: the process serves).
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz answers GET /readyz (readiness: this instance should
@@ -655,18 +354,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // balancer watching /readyz steers new requests away before they
 // would be shed.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", drainRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	if s.front.Draining() {
+		w.Header().Set("Retry-After", DrainRetryAfter)
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	inUse, capacity := s.admit.InUse(), s.admit.Capacity()
 	if highWater := (capacity*9 + 9) / 10; inUse >= highWater {
-		w.Header().Set("Retry-After", shedRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		w.Header().Set("Retry-After", ShedRetryAfter)
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "saturated", "admitted": inUse, "capacity": capacity,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }

@@ -441,7 +441,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 
 	// The job must have been drained to completion, not cancelled.
-	j, ok := s.jobs.Get(info.ID)
+	j, ok := s.front.jobs.Get(info.ID)
 	if !ok {
 		t.Fatal("job vanished")
 	}

@@ -12,8 +12,9 @@
 # fleet smoke
 # (3-worker embedded dvsfleet: hammer through the router, dvsexp grid
 # byte-identical to the single-process run before AND after killing a
-# worker, failover observed in the metrics, clean drain), a fleet
-# drain-migration smoke (a job live-migrated off a worker via POST
+# worker, a bogus X-Request-Deadline answered 400 by worker and
+# coordinator alike, failover observed in the metrics, clean drain), a
+# fleet drain-migration smoke (a job live-migrated off a worker via POST
 # /v1/cluster/drain finishes on a ring successor), a trace
 # smoke (tracing-enabled fleet: one client trace ID observed in
 # coordinator and worker logs and in the federated /debug/trace dump,
@@ -408,6 +409,20 @@ cmp -s "$SCEN_TMP/local.json" "$FLEET_TMP/scen.json" || {
     exit 1
 }
 
+# dvsd and dvsfleet share one request plumbing: a malformed
+# X-Request-Deadline is a 400 from an embedded worker and from the
+# coordinator alike.
+WADDR=$(curl -s --max-time 2 "http://$FADDR/v1/cluster" |
+    sed -n 's/.*"addr": "\([0-9.:]*\)".*/\1/p' | head -n1)
+for target in "$WADDR" "$FADDR"; do
+    STATUS=$(curl -s -o /dev/null -w '%{http_code}' --max-time 2 \
+        -H 'X-Request-Deadline: bogus' -d "$BODY" "http://$target/v1/simulate")
+    if [ "$STATUS" != "400" ]; then
+        echo "FAIL: X-Request-Deadline: bogus at $target returned HTTP $STATUS, want 400" >&2
+        exit 1
+    fi
+done
+
 # Kill one worker (the cluster endpoint hard-stops it, crash-style)
 # and rerun the grid: failover must keep the report byte-identical.
 VICTIM=$(curl -s --max-time 2 "http://$FADDR/v1/cluster" |
@@ -464,7 +479,7 @@ kill -TERM "$FLEET_PID"
 wait "$FLEET_PID" || { echo "FAIL: dvsfleet exited non-zero on SIGTERM" >&2; cat "$FLEET_LOG" >&2; exit 1; }
 FLEET_PID=""
 grep -q "drained, bye" "$FLEET_LOG" || { echo "FAIL: no clean fleet drain message" >&2; cat "$FLEET_LOG" >&2; exit 1; }
-echo "    fleet smoke test OK ($FADDR, hammer clean, t2 byte-identical incl. after worker kill, scenario verdict byte-identical, failover observed, clean drain)"
+echo "    fleet smoke test OK ($FADDR, hammer clean, t2 byte-identical incl. after worker kill, scenario verdict byte-identical, bogus deadline 400 on worker and coordinator, failover observed, clean drain)"
 
 echo "==> trace smoke test (dvsfleet -trace-buffer, one trace across the fleet)"
 TRACE_LOG="$FLEET_TMP/trace.log"
