@@ -12,6 +12,9 @@
 #                            checkpoint envelope (the per-run cost of
 #                            every pause, drain, and fleet migration)
 #   BenchmarkSnapshotRestore rebuild a live engine from an envelope
+#   BenchmarkServerSimulate  one uncached POST /v1/simulate through the
+#                            dvsd handler in-process (the request path)
+#   BenchmarkScenarioKey     the canonical request hash (cache + fleet key)
 #
 # Usage:
 #   ./bench.sh                # default benchtime
@@ -50,7 +53,7 @@ if [ -z "$raw" ]; then
     trap 'rm -f "$raw"' EXIT
 fi
 
-pattern='^(BenchmarkPolicies|BenchmarkAnalyzerSlack|BenchmarkEngineDecision|BenchmarkEngineDecisionFlight|BenchmarkSnapshotCapture|BenchmarkSnapshotRestore)$'
+pattern='^(BenchmarkPolicies|BenchmarkAnalyzerSlack|BenchmarkEngineDecision|BenchmarkEngineDecisionFlight|BenchmarkSnapshotCapture|BenchmarkSnapshotRestore|BenchmarkServerSimulate|BenchmarkScenarioKey)$'
 echo "bench.sh: running $pattern (this takes a minute)..." >&2
 go test -run '^$' -bench "$pattern" -benchmem "$@" . | tee "$raw" >&2
 

@@ -14,7 +14,13 @@ package dvsslack
 //	go test -bench=BenchmarkFig3 -benchtime=1x   # one full regeneration
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"dvsslack/internal/core"
@@ -25,6 +31,7 @@ import (
 	"dvsslack/internal/opt"
 	"dvsslack/internal/policies"
 	"dvsslack/internal/rtm"
+	"dvsslack/internal/server"
 	"dvsslack/internal/sim"
 	"dvsslack/internal/workload"
 )
@@ -281,6 +288,50 @@ func BenchmarkTaskSetGeneration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := rtm.Generate(rtm.DefaultGenConfig(16, 0.8, uint64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServerSimulate measures one uncached POST /v1/simulate
+// through the dvsd handler in-process, with no socket: strict decode,
+// validation (which builds the run's config), the scenario key, the
+// cache miss, the queue hop to a worker, an lpSHE run of the
+// quickstart set, and the response encode. Every iteration sends a
+// new workload seed, so none is served from the cache.
+func BenchmarkServerSimulate(b *testing.B) {
+	s := server.New(server.Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	ts, err := json.Marshal(rtm.Quickstart())
+	if err != nil {
+		b.Fatal(err)
+	}
+	prefix := `{"task_set":` + string(ts) + `,"policy":"lpshe","workload":{"kind":"uniform","lo":0.3,"hi":1,"seed":`
+	var body []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		body = strconv.AppendInt(append(body[:0], prefix...), int64(i)+1, 10)
+		body = append(body, "}}"...)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/simulate", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+}
+
+// BenchmarkScenarioKey measures the canonical request hash the result
+// cache and the fleet router index by.
+func BenchmarkScenarioKey(b *testing.B) {
+	req := server.SimRequest{
+		TaskSet:  rtm.Quickstart(),
+		Policy:   "lpshe",
+		Workload: server.WorkloadSpec{Kind: "uniform", Lo: 0.3, Hi: 1, Seed: 7},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := server.ScenarioKey(&req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -565,8 +565,8 @@ func writeRouteError(w http.ResponseWriter, err error) {
 // scenario never costs a worker round-trip), route by scenario key,
 // fail over on worker faults.
 func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req := c.front.DecodeSimulate(w, r)
-	if req == nil {
+	req, _, ok := c.front.DecodeSimulate(w, r)
+	if !ok {
 		return
 	}
 	res, err := c.simulate(r.Context(), req)

@@ -325,6 +325,8 @@ func TestFleetBadRequests(t *testing.T) {
 	}{
 		{"empty task set", "POST", "/v1/simulate", `{"policy": "lpshe"}`, "", 400},
 		{"unknown field", "POST", "/v1/simulate", `{"bogus": 1}`, "", 400},
+		{"unknown task field", "POST", "/v1/simulate", `{"task_set": {"tasks": [{"wcet": 1, "period": 4, "bogus": 3}], "extra": 1}, "policy": "lpshe"}`, "", 400},
+		{"unknown task field in a job", "POST", "/v1/jobs", `{"runs": [{"task_set": {"tasks": [{"wcet": 1, "period": 4}], "extra": 1}, "policy": "lpshe"}]}`, "", 400},
 		{"trailing data", "POST", "/v1/simulate", string(valid) + ` {}`, "", 400},
 		{"empty job", "POST", "/v1/jobs", `{"name": "empty"}`, "", 400},
 		{"too many runs", "POST", "/v1/jobs", tooMany, "", 400},

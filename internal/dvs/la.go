@@ -42,7 +42,24 @@ type LAEDF struct {
 	// per-task dynamic state
 	cLeft    []float64 // remaining WCET of the current job (0 after completion)
 	deadline []float64 // absolute deadline of the current job
+
+	plan laPlan // SelectSpeed's scratch, reused across decisions
 }
+
+// laEntry is one task's term in a look-ahead plan.
+type laEntry struct {
+	c, d, u float64
+}
+
+// laPlan orders a plan's entries latest deadline first. Sorting a
+// named slice with sort.Sort keeps SelectSpeed free of sort.Slice's
+// reflective swapper and closure; both run the same pdqsort, so ties
+// land in the same order and results are bit-identical.
+type laPlan []laEntry
+
+func (p laPlan) Len() int           { return len(p) }
+func (p laPlan) Less(a, b int) bool { return p[a].d > p[b].d }
+func (p laPlan) Swap(a, b int)      { p[a], p[b] = p[b], p[a] }
 
 // Name implements sim.Policy.
 func (*LAEDF) Name() string { return "laEDF" }
@@ -91,13 +108,10 @@ func (p *LAEDF) SelectSpeed(*sim.JobState) float64 {
 		p.deadline[job.TaskIndex] = job.AbsDeadline
 	}
 
-	type entry struct {
-		c, d, u float64
-	}
-	entries := make([]entry, 0, ts.N())
+	entries := p.plan[:0]
 	dn := math.Inf(1)
 	for i, t := range ts.Tasks {
-		e := entry{c: p.cLeft[i], d: p.deadline[i], u: t.Utilization()}
+		e := laEntry{c: p.cLeft[i], d: p.deadline[i], u: t.Utilization()}
 		if e.d <= now+sim.Eps {
 			// A completed job's stale deadline: its work is done and
 			// its window has passed; it contributes nothing and must
@@ -110,10 +124,11 @@ func (p *LAEDF) SelectSpeed(*sim.JobState) float64 {
 			dn = e.d
 		}
 	}
+	p.plan = entries
 	if math.IsInf(dn, 1) || !(dn > now) {
 		return 1 // nothing to plan around: stay conservative
 	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].d > entries[b].d })
+	sort.Sort(&p.plan) // by pointer: a slice in an interface allocates
 
 	u := ts.Utilization()
 	var xTotal float64

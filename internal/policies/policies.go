@@ -131,6 +131,33 @@ func New(spec string) (sim.Policy, error) {
 	return mk(), nil
 }
 
+// Canonical maps any spec Lookup accepts to the one spelling of the
+// policy it builds: SpecOf(New(spec).Name()), computed from the
+// registry without constructing a policy. It returns "" for a spec
+// Lookup rejects. The server keys its result cache (and the fleet its
+// routing) by this spelling, so every alias of one policy shares one
+// key.
+func Canonical(spec string) string {
+	head, rest, wrapped := strings.Cut(spec, "+")
+	k := canonical(head)
+	if k == "" || !wrapped {
+		return k
+	}
+	var b strings.Builder
+	b.WriteString(k)
+	for wrapped {
+		var w string
+		w, rest, wrapped = strings.Cut(rest, "+")
+		w = strings.ToLower(strings.TrimSpace(w))
+		if _, ok := wrappers[w]; !ok {
+			return ""
+		}
+		b.WriteByte('+')
+		b.WriteString(w)
+	}
+	return b.String()
+}
+
 // SpecOf maps a policy display name (as reported by sim.Policy.Name,
 // e.g. "lpSHE+dual") back to a spec accepted by Lookup, or "" when
 // the name does not correspond to a registered policy. It is the

@@ -97,3 +97,30 @@ func TestSpecOfInvertsDisplayNames(t *testing.T) {
 		t.Error("SpecOf of an unknown name should be empty")
 	}
 }
+
+// TestCanonicalMatchesBuiltName pins Canonical to the definition it
+// shortcuts, SpecOf(New(spec).Name()), over every base name and alias
+// in any case and padding, with wrapper chains, and on rejected specs.
+func TestCanonicalMatchesBuiltName(t *testing.T) {
+	var specs []string
+	for _, k := range Names() {
+		p, _ := New(k)
+		specs = append(specs, k, strings.ToUpper(k), " "+p.Name()+" ", p.Name())
+	}
+	for a := range aliases {
+		specs = append(specs, a, strings.ToUpper(a))
+	}
+	for _, w := range []string{"+dual", "+guard", "+crit", "+DUAL", "+ guard ", "+dual+crit+guard"} {
+		specs = append(specs, "lpshe"+w, "greedy"+w, "ccEDF"+w)
+	}
+	specs = append(specs, "", "+", "lpshe+", "lpshe+bogus", "bogus", "bogus+dual", "lpshe++dual", "lpshe+dual+")
+	for _, spec := range specs {
+		want := ""
+		if p, err := New(spec); err == nil {
+			want = SpecOf(p.Name())
+		}
+		if got := Canonical(spec); got != want {
+			t.Errorf("Canonical(%q) = %q, want %q", spec, got, want)
+		}
+	}
+}

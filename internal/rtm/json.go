@@ -1,45 +1,27 @@
 package rtm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 )
 
-// taskSetJSON is the on-disk representation of a TaskSet.
-type taskSetJSON struct {
-	Name  string     `json:"name,omitempty"`
-	Tasks []taskJSON `json:"tasks"`
-}
+// Task and TaskSet carry their wire form as json tags (task.go), so
+// encoding/json writes a set in one pass. Decoding adds the one thing
+// tags cannot say: a decoded set is strict and valid.
 
-type taskJSON struct {
-	Name     string  `json:"name,omitempty"`
-	WCET     float64 `json:"wcet"`
-	Period   float64 `json:"period"`
-	Deadline float64 `json:"deadline,omitempty"`
-	Jitter   float64 `json:"jitter,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (ts *TaskSet) MarshalJSON() ([]byte, error) {
-	out := taskSetJSON{Name: ts.Name}
-	for _, t := range ts.Tasks {
-		out.Tasks = append(out.Tasks, taskJSON(t))
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler and validates the decoded
-// set.
+// UnmarshalJSON implements json.Unmarshaler. It decodes in one strict
+// pass straight into ts — an unknown field anywhere in the set is an
+// error, as it is for the requests that embed one — and validates the
+// result.
 func (ts *TaskSet) UnmarshalJSON(data []byte) error {
-	var in taskSetJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	type plain TaskSet // same fields, no methods: Decode does not recurse
+	*ts = TaskSet{}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode((*plain)(ts)); err != nil {
 		return fmt.Errorf("rtm: decoding task set: %w", err)
-	}
-	ts.Name = in.Name
-	ts.Tasks = ts.Tasks[:0]
-	for _, t := range in.Tasks {
-		ts.Tasks = append(ts.Tasks, Task(t))
 	}
 	return ts.Validate()
 }

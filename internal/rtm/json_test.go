@@ -86,3 +86,45 @@ func TestJSONOmitsDefaults(t *testing.T) {
 		}
 	}
 }
+
+func TestUnmarshalRejectsUnknownFields(t *testing.T) {
+	for _, in := range []string{
+		`{"tasks": [{"wcet": 1, "period": 4, "bogus": 3}]}`,
+		`{"tasks": [{"wcet": 1, "period": 4}], "extra": 1}`,
+	} {
+		var ts TaskSet
+		if err := json.Unmarshal([]byte(in), &ts); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("decoding %s: err = %v, want an unknown-field error", in, err)
+		}
+	}
+}
+
+// TestJSONWireForm pins the encoded bytes of a set: the tags must
+// write exactly the wire form clients and files have always used.
+func TestJSONWireForm(t *testing.T) {
+	ts := NewTaskSet("x",
+		Task{Name: "a", WCET: 1, Period: 10, Deadline: 4, Jitter: 0.5},
+		Task{Name: "b", WCET: 0.25, Period: 8},
+	)
+	b, err := json.Marshal(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"name":"x","tasks":[{"name":"a","wcet":1,"period":10,"deadline":4,"jitter":0.5},{"name":"b","wcet":0.25,"period":8}]}`
+	if string(b) != want {
+		t.Errorf("wire form\n got %s\nwant %s", b, want)
+	}
+}
+
+// TestUnmarshalResetsReusedSet: decoding into a set that already holds
+// tasks must not carry old field values into the new ones.
+func TestUnmarshalResetsReusedSet(t *testing.T) {
+	ts := NewTaskSet("old", Task{Name: "a", WCET: 1, Period: 10, Deadline: 4, Jitter: 1})
+	if err := json.Unmarshal([]byte(`{"tasks": [{"wcet": 2, "period": 12}]}`), ts); err != nil {
+		t.Fatal(err)
+	}
+	want := &TaskSet{Tasks: []Task{{WCET: 2, Period: 12}}}
+	if !reflect.DeepEqual(ts, want) {
+		t.Errorf("decoded %+v, want %+v", ts, want)
+	}
+}

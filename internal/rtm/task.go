@@ -32,22 +32,22 @@ import (
 type Task struct {
 	// Name identifies the task in traces and reports. Optional; the
 	// task index is used when empty.
-	Name string
+	Name string `json:"name,omitempty"`
 
 	// WCET is the worst-case execution time in work units at full
 	// speed (equivalently, worst-case cycles normalized to the
 	// maximum frequency). Must be positive and no larger than
 	// Deadline.
-	WCET float64
+	WCET float64 `json:"wcet"`
 
 	// Period is the (fixed) inter-release separation. Must be
 	// positive.
-	Period float64
+	Period float64 `json:"period"`
 
 	// Deadline is the relative deadline. Zero means "equal to
 	// Period" (implicit deadline); otherwise it must satisfy
 	// WCET <= Deadline <= Period.
-	Deadline float64
+	Deadline float64 `json:"deadline,omitempty"`
 
 	// Jitter is the maximum release delay: job k is released at
 	// k·Period + j with j drawn from [0, Jitter], and its absolute
@@ -57,7 +57,7 @@ type Task struct {
 	// satisfy 0 <= Jitter <= Period. See the package documentation
 	// of internal/core for which policies retain their hard
 	// guarantee under jitter.
-	Jitter float64
+	Jitter float64 `json:"jitter,omitempty"`
 }
 
 // NewTask returns an implicit-deadline task.
@@ -116,10 +116,11 @@ func (t Task) name() string {
 	return t.Name
 }
 
-// TaskSet is an ordered collection of periodic tasks.
+// TaskSet is an ordered collection of periodic tasks. The json tags
+// are its wire form (see json.go).
 type TaskSet struct {
-	Name  string
-	Tasks []Task
+	Name  string `json:"name,omitempty"`
+	Tasks []Task `json:"tasks"`
 }
 
 // NewTaskSet builds a task set and assigns default names T1..Tn to

@@ -11,9 +11,6 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -111,48 +108,6 @@ func (r *SimRequest) Config() (sim.Config, error) {
 	}, nil
 }
 
-// ScenarioKey returns the canonical content hash of a request:
-// identical simulation inputs — task set, processor, policy,
-// workload, horizon, jitter seed, strictness — hash identically
-// regardless of JSON field order or whitespace in the original
-// request body. encoding/json marshals struct fields in declaration
-// order, so the serialization is canonical by construction.
-//
-// The key is shared infrastructure: the daemon's result cache indexes
-// by it (CacheKey) and the dvsfleet coordinator consistent-hashes it
-// onto workers, so routing and caching can never disagree — the
-// worker a scenario routes to is exactly the worker whose cache holds
-// its result. The hash is pinned by a golden test
-// (scenariokey_test.go): changing the canonical form invalidates
-// every deployed cache AND reshuffles fleet routing, so it must be a
-// deliberate, versioned decision, never an accident.
-func ScenarioKey(r *SimRequest) (string, error) {
-	canon := struct {
-		TaskSet    *rtm.TaskSet
-		Policy     string
-		Processor  ProcessorSpec
-		Workload   WorkloadSpec
-		Horizon    float64
-		JitterSeed uint64
-		Strict     bool
-		Audit      bool
-	}{r.TaskSet, policies.SpecOf(policyDisplayName(r.Policy)), r.Processor,
-		r.Workload, r.Horizon, r.JitterSeed, r.Strict, r.Audit}
-	if canon.Policy == "" {
-		canon.Policy = r.Policy
-	}
-	b, err := json.Marshal(canon)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// CacheKey is the result cache's index: an alias of ScenarioKey kept
-// as a method for the cache and pool call sites.
-func (r *SimRequest) CacheKey() (string, error) { return ScenarioKey(r) }
-
 // RequestFromConfig inverts Config for configurations assembled from
 // the shipped building blocks (registered policies, cubic/alpha/table
 // processors, shipped workload generators). It is how cmd/dvsexp
@@ -194,17 +149,6 @@ func RequestFromConfig(cfg sim.Config) (SimRequest, error) {
 		JitterSeed: cfg.JitterSeed,
 		Strict:     cfg.StrictDeadlines,
 	}, nil
-}
-
-// policyDisplayName resolves a spec to the display name of the policy
-// it constructs (empty when the spec is unknown), collapsing aliases
-// like "greedy" and "lpshe-greedy" onto one cache key.
-func policyDisplayName(spec string) string {
-	p, err := policies.New(spec)
-	if err != nil {
-		return ""
-	}
-	return p.Name()
 }
 
 // ProcessorSpec is the wire form of a cpu.Processor. It is an alias

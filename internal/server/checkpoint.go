@@ -49,17 +49,6 @@ type JobCheckpoint struct {
 // on the checkpoint path.
 var errNoSuchJob = errors.New("server: no such job")
 
-// ckptKey is the scenario key a run's snapshots are bound to. A
-// request that cannot be keyed degrades to "" — consistently on both
-// the capture and restore sides, so the binding check still holds.
-func ckptKey(req *SimRequest) string {
-	key, err := ScenarioKey(req)
-	if err != nil {
-		return ""
-	}
-	return key
-}
-
 // materialize validates the document and decodes its snapshots into
 // run-indexed envelopes. Everything fails closed: a version mismatch,
 // an invalid run, an out-of-range or duplicate outcome, a snapshot for
@@ -108,7 +97,7 @@ func (d *JobCheckpoint) materialize() (map[int][]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: checkpoint snapshot %d: %w", i, err)
 		}
-		if want := ckptKey(&d.Runs[i]); dec.ScenarioKey != want {
+		if want := runKey(&d.Runs[i]); dec.ScenarioKey != want {
 			return nil, fmt.Errorf("server: checkpoint snapshot %d: %w", i, snapshot.ErrKeyMismatch)
 		}
 		snaps[i] = env

@@ -96,7 +96,7 @@ func TestPoolPauseResumeDeterminism(t *testing.T) {
 
 	req := longRequest("lpshe", 11)
 	req.Audit = true
-	want, err := ref.pool.Do(ctx, &req)
+	want, _, err := ref.pool.DoRun(ctx, &req, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

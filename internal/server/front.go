@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"dvsslack/internal/policies"
 	"dvsslack/internal/resilience"
 	"dvsslack/internal/scenario"
+	"dvsslack/internal/sim"
 )
 
 // Frontend is the HTTP layer dvsd and the dvsfleet coordinator share,
@@ -269,13 +272,39 @@ func (f *Frontend) Instrument(label string, h http.HandlerFunc) http.HandlerFunc
 	}
 }
 
+// jsonWriter is one pooled response encoder: the indenting encoder
+// writes into buf, and buf goes out in one Write. Its encoder keeps
+// its indent scratch between uses too.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := new(jsonWriter)
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// maxPooledJSON is the largest response whose buffers go back to the
+// pool: a rare large body (a job with all its results) must not stay
+// pinned for the life of the process.
+const maxPooledJSON = 64 << 10
+
 // WriteJSON writes v as an indented JSON response.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.buf.Reset()
+	err := jw.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if err == nil {
+		w.Write(jw.buf.Bytes())
+	}
+	if jw.buf.Cap() <= maxPooledJSON {
+		jsonWriters.Put(jw)
+	}
 }
 
 // WriteError writes the ErrorBody envelope every non-2xx response
@@ -321,21 +350,25 @@ func (f *Frontend) rejectIfDraining(w http.ResponseWriter) bool {
 }
 
 // DecodeSimulate is the front half of POST /v1/simulate: the drain
-// gate, a strict decode and Validate. A nil request means the error
-// response has been written.
-func (f *Frontend) DecodeSimulate(w http.ResponseWriter, r *http.Request) *SimRequest {
+// gate, a strict decode, and validation, which builds the run's
+// config. The config holds fresh policy, processor and workload
+// values owned by this request alone, so dvsd hands it to the worker
+// that runs the request rather than building it twice. ok=false means
+// the error response has been written.
+func (f *Frontend) DecodeSimulate(w http.ResponseWriter, r *http.Request) (req *SimRequest, cfg sim.Config, ok bool) {
 	if f.rejectIfDraining(w) {
-		return nil
+		return nil, cfg, false
 	}
-	var req SimRequest
-	if !f.decodeBody(w, r, &req) {
-		return nil
+	req = new(SimRequest)
+	if !f.decodeBody(w, r, req) {
+		return nil, cfg, false
 	}
-	if err := req.Validate(); err != nil {
+	cfg, err := req.Config()
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
-		return nil
+		return nil, cfg, false
 	}
-	return &req
+	return req, cfg, true
 }
 
 // ReadScenario is the front half of POST /v1/scenario: the drain gate,

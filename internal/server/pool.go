@@ -101,6 +101,9 @@ func (c *runControl) settle(data []byte, err error) {
 // work is one queued simulation.
 type work struct {
 	req *SimRequest
+	// cfg is req's config when validation already built it (its Policy
+	// is set); otherwise the worker builds it.
+	cfg sim.Config
 	key string // cache + scenario key; "" disables caching for this run
 	// snapshot, when non-nil, resumes the run from a checkpoint
 	// envelope instead of starting fresh.
@@ -133,8 +136,8 @@ func (w *work) settle(data []byte, err error) {
 }
 
 // pool executes simulations on a fixed set of worker goroutines fed
-// by a bounded queue. Each run constructs its own policy, processor,
-// and workload values from the wire request (SimRequest.Config), so
+// by a bounded queue. Each run has its own policy, processor, and
+// workload values built from its wire request (SimRequest.Config), so
 // workers share no mutable simulation state — the pool is race-clean
 // by construction rather than by locking.
 type pool struct {
@@ -202,10 +205,13 @@ func (p *pool) execute(w *work) outcome {
 			return outcome{res: res}
 		}
 	}
-	cfg, err := w.req.Config()
-	if err != nil {
-		w.settle(nil, err)
-		return outcome{err: err}
+	cfg := w.cfg
+	if cfg.Policy == nil {
+		var err error
+		if cfg, err = w.req.Config(); err != nil {
+			w.settle(nil, err)
+			return outcome{err: err}
+		}
 	}
 	var aud *audit.Auditor
 	if w.req.Audit {
@@ -223,6 +229,7 @@ func (p *pool) execute(w *work) outcome {
 	}
 	start := time.Now()
 	var e *sim.Engine
+	var err error
 	if w.snapshot != nil {
 		e, err = snapshot.Restore(w.snapshot, w.key, cfg, aud)
 	} else {
@@ -300,12 +307,21 @@ func (p *pool) emitSpans(w *work, policy string, fo *obs.FlightObserver, start t
 // Depth returns the queue capacity (sizes the admission budget).
 func (p *pool) Depth() int { return p.depth }
 
-// Lookup serves req from the result cache without touching the
+// Key returns req's scenario key when the result cache is on, and ""
+// when it is off or req cannot be keyed: a plain run needs a key only
+// to be cached.
+func (p *pool) Key(req *SimRequest) string {
+	if p.cache.cap <= 0 {
+		return ""
+	}
+	return runKey(req)
+}
+
+// Lookup serves key's result from the cache without touching the
 // queue. Admission control consults it first so an overloaded daemon
 // keeps answering cached requests while shedding fresh simulations.
-func (p *pool) Lookup(req *SimRequest) (SimResult, bool) {
-	key, err := req.CacheKey()
-	if err != nil || key == "" {
+func (p *pool) Lookup(key string) (SimResult, bool) {
+	if key == "" {
 		return SimResult{}, false
 	}
 	res, ok := p.cache.Get(key)
@@ -317,36 +333,43 @@ func (p *pool) Lookup(req *SimRequest) (SimResult, bool) {
 	return res, true
 }
 
-// Do runs one request through the pool and waits for its outcome.
-// The fast path serves cache hits without touching the queue. ctx
+// Simulate runs one validated request whose cache lookup already
+// missed: cfg is the config validation built, key its Key. ctx
 // cancellation abandons the wait (an already-queued run still
 // executes and populates the cache).
-func (p *pool) Do(ctx context.Context, req *SimRequest) (SimResult, error) {
-	res, _, err := p.DoRun(ctx, req, nil, nil)
-	return res, err
+func (p *pool) Simulate(ctx context.Context, req *SimRequest, cfg sim.Config, key string) (SimResult, error) {
+	out := p.submit(ctx, &work{req: req, cfg: cfg, key: key})
+	return out.res, out.err
 }
 
-// DoRun is Do with checkpoint plumbing: snap, when non-nil, resumes
-// the run from a snapshot envelope (skipping the cache fast path —
-// the caller wants the remainder of that run, not a memoized result),
-// and ctl, when non-nil, lets the caller pause or live-capture the
-// run. A paused run returns a nil error and a non-nil envelope.
+// DoRun is the job layer's RunFunc: one run of a job, served from the
+// cache when it can be. snap, when non-nil, resumes the run from a
+// snapshot envelope (skipping the cache — the caller wants the
+// remainder of that run, not a memoized result), and ctl, when
+// non-nil, lets the caller pause or live-capture the run. A paused
+// run returns a nil error and a non-nil envelope. Snapshots are bound
+// to the run's key, so a run that may take or resume one is keyed
+// even with the cache off.
 func (p *pool) DoRun(ctx context.Context, req *SimRequest, snap []byte, ctl *runControl) (SimResult, []byte, error) {
-	key, err := req.CacheKey()
-	if err != nil {
-		key = "" // uncacheable, still runnable
+	key := ""
+	if p.cache.cap > 0 || snap != nil || ctl != nil {
+		key = runKey(req)
 	}
-	if key != "" && snap == nil {
-		if res, ok := p.cache.Get(key); ok {
-			res.Cached = true
-			res.WallNanos = 0
+	if snap == nil {
+		if res, ok := p.Lookup(key); ok {
 			if ctl != nil {
 				ctl.settle(nil, errRunSettled)
 			}
 			return res, nil, nil
 		}
 	}
-	w := &work{req: req, key: key, snapshot: snap, ctl: ctl, done: make(chan outcome, 1)}
+	out := p.submit(ctx, &work{req: req, key: key, snapshot: snap, ctl: ctl})
+	return out.res, out.ckpt, out.err
+}
+
+// submit queues w and waits for its outcome.
+func (p *pool) submit(ctx context.Context, w *work) outcome {
+	w.done = make(chan outcome, 1)
 	if sc, ok := obs.SpanContextFromContext(ctx); ok {
 		w.sc = sc
 	}
@@ -357,7 +380,7 @@ func (p *pool) DoRun(ctx context.Context, req *SimRequest, snap []byte, ctl *run
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return SimResult{}, nil, ErrDraining
+		return outcome{err: ErrDraining}
 	}
 	p.producers.Add(1)
 	p.mu.Unlock()
@@ -371,14 +394,14 @@ func (p *pool) DoRun(ctx context.Context, req *SimRequest, snap []byte, ctl *run
 	}
 	p.producers.Done()
 	if !enqueued {
-		return SimResult{}, nil, ctx.Err()
+		return outcome{err: ctx.Err()}
 	}
 
 	select {
 	case out := <-w.done:
-		return out.res, out.ckpt, out.err
+		return out
 	case <-ctx.Done():
-		return SimResult{}, nil, ctx.Err()
+		return outcome{err: ctx.Err()}
 	}
 }
 

@@ -257,11 +257,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // cache hits, so degradation is graceful rather than a goroutine
 // pile-up.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req := s.front.DecodeSimulate(w, r)
-	if req == nil {
+	req, cfg, ok := s.front.DecodeSimulate(w, r)
+	if !ok {
 		return
 	}
-	if res, ok := s.pool.Lookup(req); ok {
+	key := s.pool.Key(req)
+	if res, ok := s.pool.Lookup(key); ok {
 		WriteJSON(w, http.StatusOK, res)
 		return
 	}
@@ -280,7 +281,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.admit.Release()
-	res, err := s.pool.Do(r.Context(), req)
+	res, err := s.pool.Simulate(r.Context(), req, cfg, key)
 	switch {
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", DrainRetryAfter)

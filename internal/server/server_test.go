@@ -130,6 +130,22 @@ func TestCacheHit(t *testing.T) {
 	}
 }
 
+// TestCacheCountsOneLookupPerRequest: a fresh request is one cache
+// miss and its repeat one hit, so cache_misses and cache_hit_rate
+// describe requests, not internal lookups.
+func TestCacheCountsOneLookupPerRequest(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 1})
+	req := quickstartRequest("lpshe")
+	decodeResp[SimResult](t, postJSON(t, hs.URL+"/v1/simulate", req), http.StatusOK)
+	if hits, misses := s.cache.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("after one fresh request: hits=%d misses=%d, want 0 and 1", hits, misses)
+	}
+	decodeResp[SimResult](t, postJSON(t, hs.URL+"/v1/simulate", req), http.StatusOK)
+	if hits, misses := s.cache.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("after its repeat: hits=%d misses=%d, want 1 and 1", hits, misses)
+	}
+}
+
 // TestCacheKeyCanonical: equivalent requests spelled differently
 // (policy alias) share a key; different seeds do not.
 func TestCacheKeyCanonical(t *testing.T) {
@@ -184,6 +200,32 @@ func TestValidationErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+}
+
+// TestNestedUnknownFieldsRejected: strict decoding reaches inside the
+// task set, on single runs and on every run of a job.
+func TestNestedUnknownFieldsRejected(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1})
+	for _, set := range []string{
+		`{"tasks":[{"wcet":1,"period":4,"bogus":3}]}`,
+		`{"tasks":[{"wcet":1,"period":4}],"extra":1}`,
+	} {
+		for path, body := range map[string]string{
+			"/v1/simulate": `{"task_set":` + set + `,"policy":"lpshe"}`,
+			"/v1/jobs":     `{"runs":[{"task_set":` + set + `,"policy":"lpshe"}]}`,
+		} {
+			resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb ErrorBody
+			json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "unknown field") {
+				t.Errorf("%s %s: status %d, error %q; want 400 naming the unknown field", path, body, resp.StatusCode, eb.Error)
+			}
 		}
 	}
 }

@@ -48,13 +48,13 @@ go test -run '^$' -bench . -benchtime=1x ./... >/dev/null
 echo "==> perf pass (alloc guards + hot-path smoke)"
 # The AllocsPerRun guards pin the zero-steady-state-allocation
 # property of the analyzer hot path (Analyze, the staircase cycle,
-# SelectSpeed, Counters); then a fixed-count run of the two hot-path
+# SelectSpeed, Counters) and of laEDF's SelectSpeed; then a fixed-count run of the two hot-path
 # benchmarks checks the pinned alloc budgets and an order-of-magnitude
 # latency ceiling. The ceiling is deliberately loose (a full revert of
 # the incremental analyzer trips it; scheduler noise cannot), and the
 # fine-grained 20% gate lives in `./bench.sh -gate` where benchtime is
 # long enough to trust. See BENCH_*.json for the recorded trajectory.
-go test -run 'ZeroSteadyStateAllocs|ZeroAllocs|CountersMapReused' -count=1 ./internal/core/
+go test -run 'ZeroSteadyStateAllocs|ZeroAllocs|CountersMapReused' -count=1 ./internal/core/ ./internal/dvs/
 # BenchmarkEngineDecisionFlight shares EngineDecision's budgets via
 # the awk prefix match: the flight recorder must fit inside them.
 PERF_OUT=$(go test -run '^$' -bench '^(BenchmarkAnalyzerSlack|BenchmarkEngineDecision|BenchmarkEngineDecisionFlight)$' -benchtime=100x -benchmem .)
