@@ -15,6 +15,9 @@
 #   BenchmarkServerSimulate  one uncached POST /v1/simulate through the
 #                            dvsd handler in-process (the request path)
 #   BenchmarkScenarioKey     the canonical request hash (cache + fleet key)
+#   BenchmarkWireCodec       the four /v1/simulate codec legs over the
+#                            api-fresh mix, encoding/json ("json") vs
+#                            the wire codec ("codec")
 #
 # Usage:
 #   ./bench.sh                # default benchtime
@@ -53,7 +56,7 @@ if [ -z "$raw" ]; then
     trap 'rm -f "$raw"' EXIT
 fi
 
-pattern='^(BenchmarkPolicies|BenchmarkAnalyzerSlack|BenchmarkEngineDecision|BenchmarkEngineDecisionFlight|BenchmarkSnapshotCapture|BenchmarkSnapshotRestore|BenchmarkServerSimulate|BenchmarkScenarioKey)$'
+pattern='^(BenchmarkPolicies|BenchmarkAnalyzerSlack|BenchmarkEngineDecision|BenchmarkEngineDecisionFlight|BenchmarkSnapshotCapture|BenchmarkSnapshotRestore|BenchmarkServerSimulate|BenchmarkScenarioKey|BenchmarkWireCodec)$'
 echo "bench.sh: running $pattern (this takes a minute)..." >&2
 go test -run '^$' -bench "$pattern" -benchmem "$@" . | tee "$raw" >&2
 

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -333,6 +334,107 @@ func BenchmarkScenarioKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := server.ScenarioKey(&req); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// wireMix is the api-fresh request mix (the three fresh task sets ×
+// the experiment suite, uniform workloads) with the bodies and
+// results that cross the wire for it.
+type wireMix struct {
+	reqs    []server.SimRequest
+	bodies  [][]byte // request bodies as the client sends them
+	results []server.SimResult
+	outs    [][]byte // result bodies as dvsd writes them
+}
+
+func newWireMix(b *testing.B) *wireMix {
+	m := &wireMix{}
+	for _, ts := range []*rtm.TaskSet{rtm.Quickstart(), rtm.CNC(), rtm.Videophone()} {
+		for j, name := range experiment.SuiteNames() {
+			req := server.SimRequest{
+				TaskSet:  ts,
+				Policy:   policies.SpecOf(name),
+				Workload: server.WorkloadSpec{Kind: "uniform", Lo: 0.3, Hi: 1, Seed: 0x5eed<<32 | uint64(j)<<2},
+			}
+			cfg, err := req.Config()
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := sim.Run(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res := server.ResultFromSim(r)
+			res.WallNanos = 58_000
+			body, _ := json.Marshal(&req)
+			out, _ := server.AppendResult(nil, &res)
+			m.reqs = append(m.reqs, req)
+			m.bodies = append(m.bodies, body)
+			m.results = append(m.results, res)
+			m.outs = append(m.outs, out)
+		}
+	}
+	return m
+}
+
+// BenchmarkWireCodec measures the four codec legs one uncached
+// /v1/simulate pays — the client's request encode, dvsd's strict
+// request decode, dvsd's indented result encode and the client's
+// result decode — over the api-fresh mix, one mix member per op.
+// "json" is encoding/json as the request path used it before the
+// wire codec; "codec" is the wire codec. "all" runs the four legs.
+func BenchmarkWireCodec(b *testing.B) {
+	m := newWireMix(b)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	out := make([]byte, 0, 4096)
+	var rd bytes.Reader
+	legs := map[string][4]func(i int) error{
+		"json": {
+			func(i int) error { _, err := json.Marshal(&m.reqs[i]); return err },
+			func(i int) error {
+				rd.Reset(m.bodies[i])
+				var req server.SimRequest
+				dec := json.NewDecoder(&rd)
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(&req); err != nil || dec.More() {
+					return fmt.Errorf("decode: %v", err)
+				}
+				return nil
+			},
+			func(i int) error { buf.Reset(); return enc.Encode(&m.results[i]) },
+			func(i int) error {
+				rd.Reset(m.outs[i])
+				var res server.SimResult
+				return json.NewDecoder(&rd).Decode(&res)
+			},
+		},
+		"codec": {
+			func(i int) error { _, err := server.AppendRequest(make([]byte, 0, 512), &m.reqs[i]); return err },
+			func(i int) error { rd.Reset(m.bodies[i]); _, err := server.ReadRequest(&rd); return err },
+			func(i int) error { var err error; out, err = server.AppendResult(out[:0], &m.results[i]); return err },
+			func(i int) error { rd.Reset(m.outs[i]); _, err := server.ReadResult(&rd); return err },
+		},
+	}
+	names := [4]string{"request-encode", "request-decode", "result-encode", "result-decode"}
+	for _, impl := range []string{"json", "codec"} {
+		run := func(b *testing.B, fns ...func(int) error) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % len(m.reqs)
+				for _, fn := range fns {
+					if err := fn(k); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		l := legs[impl]
+		b.Run(impl+"/all", func(b *testing.B) { run(b, l[:]...) })
+		for j, name := range names {
+			b.Run(impl+"/"+name, func(b *testing.B) { run(b, l[j]) })
 		}
 	}
 }

@@ -206,9 +206,25 @@ func (c *Client) Ready(ctx context.Context) error {
 // Simulate runs one simulation synchronously. The call is idempotent
 // — the daemon memoizes results by request content — so it is retried
 // under a retry policy.
+//
+// The request and the result cross the wire through the server's
+// codec (server.AppendRequest, server.ReadResult): the same bytes
+// and the same errors as encoding/json, without reflection.
 func (c *Client) Simulate(ctx context.Context, req server.SimRequest) (server.SimResult, error) {
 	var res server.SimResult
-	err := c.do(ctx, http.MethodPost, "/v1/simulate", &req, &res, true)
+	body, err := server.AppendRequest(make([]byte, 0, 512), &req)
+	if err != nil {
+		return res, fmt.Errorf("client: encoding request: %w", err)
+	}
+	const path = "/v1/simulate"
+	err = c.roundTrip(ctx, http.MethodPost, path, body, true, func(resp *http.Response) error {
+		r, err := server.ReadResult(resp.Body)
+		if err != nil {
+			return fmt.Errorf("client: decoding %s %s response: %w", http.MethodPost, path, err)
+		}
+		res = r
+		return nil
+	})
 	return res, err
 }
 

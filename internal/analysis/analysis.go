@@ -93,12 +93,20 @@ func demandCheckBound(ts *rtm.TaskSet, u float64) float64 {
 
 // CheckPoints returns the sorted list of absolute deadlines in (0,
 // bound] of the synchronous arrival pattern: the only points where
-// dbf can step, hence the only points that need checking.
+// dbf can step, hence the only points that need checking. The k-th
+// deadline of a task is computed as D + k·T, as largestDeadlineBelow
+// does, not by summing T k times: a summed deadline can land an ulp
+// below D + k·T, where DemandBound's floor counts one job too few and
+// an infeasible set passes.
 func CheckPoints(ts *rtm.TaskSet, bound float64) []float64 {
 	var pts []float64
 	for _, task := range ts.Tasks {
-		d := task.RelDeadline()
-		for ; d <= bound; d += task.Period {
+		d0 := task.RelDeadline()
+		for k := 0; ; k++ {
+			d := d0 + float64(k)*task.Period
+			if d > bound {
+				break
+			}
 			pts = append(pts, d)
 		}
 	}

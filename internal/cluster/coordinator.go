@@ -574,7 +574,7 @@ func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeRouteError(w, err)
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, res)
+	server.WriteResult(w, http.StatusOK, &res)
 }
 
 // handleScenario proxies POST /v1/scenario: parse and validate the

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"dvsslack/internal/server"
 )
 
 // keys returns a deterministic key corpus large enough for the
@@ -165,5 +167,28 @@ func TestRingEmptyAndIdempotent(t *testing.T) {
 	r.Remove("a:1")
 	if r.Len() != 0 || r.Has("a:1") {
 		t.Fatal("ring not empty after Remove")
+	}
+}
+
+// TestRingSpreadsLoopbackTriple pins a worker triple on which the
+// unmixed vnode hash routed every key of TestFleetJobFanout's batch to
+// one worker: the 12 keys must reach at least two of the three.
+func TestRingSpreadsLoopbackTriple(t *testing.T) {
+	r := NewRing(0)
+	for _, port := range []string{"34869", "36329", "42141"} {
+		r.Add("127.0.0.1:" + port)
+	}
+	owners := map[string]int{}
+	for i := 0; i < 12; i++ {
+		req := testRequest("lpshe", uint64(100+i))
+		key, err := server.ScenarioKey(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, _ := r.Lookup(key)
+		owners[node]++
+	}
+	if len(owners) < 2 {
+		t.Fatalf("12 keys routed to %d worker(s): %v, want >= 2", len(owners), owners)
 	}
 }

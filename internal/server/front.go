@@ -307,6 +307,20 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
+// WriteResult writes a /v1/simulate result through the wire codec:
+// the bytes, headers and status WriteJSON would write for it.
+func WriteResult(w http.ResponseWriter, code int, res *SimResult) {
+	wb := getWireBuf()
+	defer wb.release()
+	b, err := AppendResult(wb.b, res)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	if err == nil {
+		wb.b = b
+		w.Write(b)
+	}
+}
+
 // WriteError writes the ErrorBody envelope every non-2xx response
 // uses.
 func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -316,18 +330,29 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 // decodeBody strictly decodes a JSON request body into v.
 func (f *Frontend) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body := http.MaxBytesReader(w, r.Body, f.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(body, v); err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return false
-	}
-	if dec.More() {
-		WriteError(w, http.StatusBadRequest, "invalid request body: trailing data")
 		return false
 	}
 	io.Copy(io.Discard, body)
 	return true
+}
+
+// errTrailingData rejects a body with more than one JSON value.
+var errTrailingData = errors.New("trailing data")
+
+// decodeStrict decodes one JSON value from body into v with
+// encoding/json, rejecting unknown fields and trailing data.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errTrailingData
+	}
+	return nil
 }
 
 // DrainRetryAfter is the Retry-After hint (seconds) on draining 503s:
@@ -350,20 +375,21 @@ func (f *Frontend) rejectIfDraining(w http.ResponseWriter) bool {
 }
 
 // DecodeSimulate is the front half of POST /v1/simulate: the drain
-// gate, a strict decode, and validation, which builds the run's
-// config. The config holds fresh policy, processor and workload
-// values owned by this request alone, so dvsd hands it to the worker
-// that runs the request rather than building it twice. ok=false means
-// the error response has been written.
+// gate, a strict decode (ReadRequest), and validation, which builds
+// the run's config. The config holds fresh policy, processor and
+// workload values owned by this request alone, so dvsd hands it to
+// the worker that runs the request rather than building it twice.
+// ok=false means the error response has been written.
 func (f *Frontend) DecodeSimulate(w http.ResponseWriter, r *http.Request) (req *SimRequest, cfg sim.Config, ok bool) {
 	if f.rejectIfDraining(w) {
 		return nil, cfg, false
 	}
-	req = new(SimRequest)
-	if !f.decodeBody(w, r, req) {
+	req, err := ReadRequest(http.MaxBytesReader(w, r.Body, f.maxBody))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return nil, cfg, false
 	}
-	cfg, err := req.Config()
+	cfg, err = req.Config()
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return nil, cfg, false

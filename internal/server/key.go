@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"dvsslack/internal/policies"
+	"dvsslack/internal/rtm"
 )
 
 // ScenarioKey returns the canonical content hash of a request:
@@ -76,12 +77,9 @@ func runKey(req *SimRequest) string {
 // form is appended to buf, which is flushed into the hash whenever it
 // passes keyFlushAt, so memory stays flat however large the task set.
 type keyWriter struct {
-	h    hash.Hash
-	buf  []byte
-	more bool  // the open object has a member
-	err  error // first unencodable value
-	sum  [sha256.Size]byte
-	hex  [2 * sha256.Size]byte
+	appender
+	sum [sha256.Size]byte
+	hex [2 * sha256.Size]byte
 }
 
 const (
@@ -93,7 +91,7 @@ const (
 )
 
 var keyPool = sync.Pool{New: func() any {
-	return &keyWriter{h: sha256.New(), buf: make([]byte, 0, 2*keyFlushAt)}
+	return &keyWriter{appender: appender{h: sha256.New(), buf: make([]byte, 0, 2*keyFlushAt)}}
 }}
 
 func (k *keyWriter) release() {
@@ -105,124 +103,32 @@ func (k *keyWriter) release() {
 
 func (k *keyWriter) key(r *SimRequest) (string, error) {
 	k.h.Reset()
-	k.buf, k.err = k.buf[:0], nil
+	k.buf, k.bad = k.buf[:0], false
 	k.request(r)
-	if k.err != nil {
-		return "", k.err
+	if k.bad {
+		return "", fmt.Errorf("server: scenario key: unsupported value %v", k.badF)
 	}
-	k.flush()
+	k.h.Write(k.buf)
 	hex.Encode(k.hex[:], k.h.Sum(k.sum[:0]))
 	return string(k.hex[:]), nil
-}
-
-func (k *keyWriter) flush() {
-	k.h.Write(k.buf)
-	k.buf = k.buf[:0]
 }
 
 // request writes the canonical struct. Outer fields are untagged and
 // never omitted; the nested objects follow their json tags.
 func (k *keyWriter) request(r *SimRequest) {
 	k.raw(`{"TaskSet":`)
-	if ts := r.TaskSet; ts == nil {
-		k.raw("null")
-	} else {
-		k.open()
-		k.optString("name", ts.Name)
-		k.member("tasks")
-		if len(ts.Tasks) == 0 {
-			k.raw("null") // the legacy task-set encoder's nil slice
-		}
-		for i := range ts.Tasks {
-			t := &ts.Tasks[i]
-			k.elem(i)
-			k.open()
-			k.optString("name", t.Name)
-			k.member("wcet")
-			k.float(t.WCET)
-			k.member("period")
-			k.float(t.Period)
-			k.optFloat("deadline", t.Deadline)
-			k.optFloat("jitter", t.Jitter)
-			k.raw("}")
-		}
-		if len(ts.Tasks) > 0 {
-			k.raw("]")
-		}
-		k.raw("}")
-	}
-
+	k.taskSet(r.TaskSet, true)
 	policy := policies.Canonical(r.Policy)
 	if policy == "" {
 		policy = r.Policy
 	}
 	k.raw(`,"Policy":`)
 	k.string(policy)
-
-	p := &r.Processor
 	k.raw(`,"Processor":`)
-	k.open()
-	k.optString("preset", p.Preset)
-	k.optFloat("smin", p.SMin)
-	if len(p.Levels) > 0 {
-		k.member("levels")
-		for i, l := range p.Levels {
-			k.elem(i)
-			k.float(l)
-		}
-		k.raw("]")
-	}
-	k.optString("model", p.Model)
-	k.optFloat("alpha_vt", p.AlphaVt)
-	k.optFloat("alpha_idx", p.AlphaIdx)
-	if len(p.Table) > 0 {
-		k.member("table")
-		for i, l := range p.Table {
-			k.elem(i)
-			k.raw(`{"Speed":`) // cpu.Level has no json tags
-			k.float(l.Speed)
-			k.raw(`,"Voltage":`)
-			k.float(l.Voltage)
-			k.raw("}")
-		}
-		k.raw("]")
-	}
-	k.optString("table_name", p.TableName)
-	if p.IdlePower != nil {
-		k.member("idle_power")
-		k.float(*p.IdlePower)
-	}
-	k.optFloat("switch_time", p.SwitchTime)
-	k.optFloat("switch_energy_coeff", p.SwitchEnergyCoeff)
-	k.optFloat("leakage_power", p.LeakagePower)
-	if p.SleepEnabled {
-		k.member("sleep_enabled")
-		k.raw("true")
-	}
-	k.optFloat("sleep_power", p.SleepPower)
-	k.optFloat("wake_energy", p.WakeEnergy)
-
-	w := &r.Workload
-	k.raw(`},"Workload":`)
-	k.open()
-	k.optString("kind", w.Kind)
-	k.optFloat("lo", w.Lo)
-	k.optFloat("hi", w.Hi)
-	k.optFloat("frac", w.Frac)
-	k.optFloat("mean", w.Mean)
-	k.optFloat("std_dev", w.StdDev)
-	k.optFloat("light_frac", w.LightFrac)
-	k.optFloat("heavy_frac", w.HeavyFrac)
-	k.optFloat("p_heavy", w.PHeavy)
-	k.optFloat("amp", w.Amp)
-	k.optFloat("period_jobs", w.PeriodJobs)
-	k.optFloat("jitter", w.Jitter)
-	if w.Seed != 0 {
-		k.member("seed")
-		k.buf = strconv.AppendUint(k.buf, w.Seed, 10)
-	}
-
-	k.raw(`},"Horizon":`)
+	k.processor(&r.Processor)
+	k.raw(`,"Workload":`)
+	k.workload(&r.Workload)
+	k.raw(`,"Horizon":`)
 	k.float(r.Horizon)
 	k.raw(`,"JitterSeed":`)
 	k.buf = strconv.AppendUint(k.buf, r.JitterSeed, 10)
@@ -233,96 +139,223 @@ func (k *keyWriter) request(r *SimRequest) {
 	k.raw("}")
 }
 
-// raw appends literal JSON, flushing a full buffer first.
-func (k *keyWriter) raw(s string) {
-	if len(k.buf) >= keyFlushAt {
-		k.flush()
+// appender appends JSON text exactly as encoding/json writes it: the
+// float format, the HTML-safe string escaping, and the json tags and
+// omitempty rules of the request's nested objects. ScenarioKey and
+// the wire codec (codec.go) share it. With h set, buf is flushed into
+// h whenever it passes keyFlushAt; the wire encoders leave h nil and
+// build the whole document in buf.
+type appender struct {
+	buf []byte
+	h   hash.Hash
+	// nl goes before each member: "" writes compact text; "\n  "
+	// writes the members of an object indented one level.
+	nl   string
+	more bool    // the open object has a member
+	bad  bool    // a NaN or ±Inf was met: it has no JSON form
+	badF float64 // the first such value
+}
+
+// taskSet writes a task set, or null for nil. legacyNull writes an
+// empty task list as null, as the key's canonical form always has;
+// encoding/json writes null only for a nil list.
+func (a *appender) taskSet(ts *rtm.TaskSet, legacyNull bool) {
+	if ts == nil {
+		a.raw("null")
+		return
 	}
-	k.buf = append(k.buf, s...)
+	a.open()
+	a.optString("name", ts.Name)
+	a.member("tasks")
+	switch {
+	case ts.Tasks == nil, legacyNull && len(ts.Tasks) == 0:
+		a.raw("null")
+	case len(ts.Tasks) == 0:
+		a.raw("[]")
+	}
+	for i := range ts.Tasks {
+		t := &ts.Tasks[i]
+		a.elem(i)
+		a.open()
+		a.optString("name", t.Name)
+		a.member("wcet")
+		a.float(t.WCET)
+		a.member("period")
+		a.float(t.Period)
+		a.optFloat("deadline", t.Deadline)
+		a.optFloat("jitter", t.Jitter)
+		a.raw("}")
+	}
+	if len(ts.Tasks) > 0 {
+		a.raw("]")
+	}
+	a.raw("}")
+}
+
+// processor writes a ProcessorSpec object.
+func (a *appender) processor(p *ProcessorSpec) {
+	a.open()
+	a.optString("preset", p.Preset)
+	a.optFloat("smin", p.SMin)
+	if len(p.Levels) > 0 {
+		a.member("levels")
+		for i, l := range p.Levels {
+			a.elem(i)
+			a.float(l)
+		}
+		a.raw("]")
+	}
+	a.optString("model", p.Model)
+	a.optFloat("alpha_vt", p.AlphaVt)
+	a.optFloat("alpha_idx", p.AlphaIdx)
+	if len(p.Table) > 0 {
+		a.member("table")
+		for i, l := range p.Table {
+			a.elem(i)
+			a.raw(`{"Speed":`) // cpu.Level has no json tags
+			a.float(l.Speed)
+			a.raw(`,"Voltage":`)
+			a.float(l.Voltage)
+			a.raw("}")
+		}
+		a.raw("]")
+	}
+	a.optString("table_name", p.TableName)
+	if p.IdlePower != nil {
+		a.member("idle_power")
+		a.float(*p.IdlePower)
+	}
+	a.optFloat("switch_time", p.SwitchTime)
+	a.optFloat("switch_energy_coeff", p.SwitchEnergyCoeff)
+	a.optFloat("leakage_power", p.LeakagePower)
+	if p.SleepEnabled {
+		a.member("sleep_enabled")
+		a.raw("true")
+	}
+	a.optFloat("sleep_power", p.SleepPower)
+	a.optFloat("wake_energy", p.WakeEnergy)
+	a.raw("}")
+}
+
+// workload writes a WorkloadSpec object.
+func (a *appender) workload(w *WorkloadSpec) {
+	a.open()
+	a.optString("kind", w.Kind)
+	a.optFloat("lo", w.Lo)
+	a.optFloat("hi", w.Hi)
+	a.optFloat("frac", w.Frac)
+	a.optFloat("mean", w.Mean)
+	a.optFloat("std_dev", w.StdDev)
+	a.optFloat("light_frac", w.LightFrac)
+	a.optFloat("heavy_frac", w.HeavyFrac)
+	a.optFloat("p_heavy", w.PHeavy)
+	a.optFloat("amp", w.Amp)
+	a.optFloat("period_jobs", w.PeriodJobs)
+	a.optFloat("jitter", w.Jitter)
+	if w.Seed != 0 {
+		a.member("seed")
+		a.buf = strconv.AppendUint(a.buf, w.Seed, 10)
+	}
+	a.raw("}")
+}
+
+// spill flushes a full buffer into the hash, when there is one.
+func (a *appender) spill() {
+	if a.h != nil && len(a.buf) >= keyFlushAt {
+		a.h.Write(a.buf)
+		a.buf = a.buf[:0]
+	}
+}
+
+// raw appends literal JSON, flushing a full buffer first.
+func (a *appender) raw(s string) {
+	a.spill()
+	a.buf = append(a.buf, s...)
 }
 
 // open starts an object. The canonical form never opens an object
 // while another still expects members, so one flag tracks them all.
-func (k *keyWriter) open() {
-	k.raw("{")
-	k.more = false
+func (a *appender) open() {
+	a.raw("{")
+	a.more = false
 }
 
 // member writes the name of the open object's next member (a literal
 // needing no escapes), after a comma unless it is the first.
-func (k *keyWriter) member(n string) {
-	if k.more {
-		k.raw(`,"`)
-	} else {
-		k.raw(`"`)
+func (a *appender) member(n string) {
+	a.spill()
+	if a.more {
+		a.buf = append(a.buf, ',')
 	}
-	k.more = true
-	k.buf = append(k.buf, n...)
-	k.buf = append(k.buf, `":`...)
+	a.more = true
+	a.buf = append(a.buf, a.nl...)
+	a.buf = append(a.buf, '"')
+	a.buf = append(a.buf, n...)
+	if a.nl == "" {
+		a.buf = append(a.buf, `":`...)
+	} else {
+		a.buf = append(a.buf, `": `...)
+	}
 }
 
 // elem starts element i of an array.
-func (k *keyWriter) elem(i int) {
+func (a *appender) elem(i int) {
 	if i == 0 {
-		k.raw("[")
+		a.raw("[")
 	} else {
-		k.raw(",")
+		a.raw(",")
 	}
 }
 
 // optString and optFloat write an omitempty member (±0 is empty).
-func (k *keyWriter) optString(n, v string) {
+func (a *appender) optString(n, v string) {
 	if v != "" {
-		k.member(n)
-		k.string(v)
+		a.member(n)
+		a.string(v)
 	}
 }
 
-func (k *keyWriter) optFloat(n string, v float64) {
+func (a *appender) optFloat(n string, v float64) {
 	if v != 0 {
-		k.member(n)
-		k.float(v)
+		a.member(n)
+		a.float(v)
 	}
 }
 
 // float appends f as encoding/json does: shortest round-trip digits,
 // exponent form below 1e-6 and from 1e21 in magnitude, the exponent
-// unpadded (1e-7, not 1e-07). NaN and ±Inf have no JSON form and fail
-// the key.
-func (k *keyWriter) float(f float64) {
+// unpadded (1e-7, not 1e-07). NaN and ±Inf have no JSON form: they
+// append nothing and set bad.
+func (a *appender) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if k.err == nil {
-			k.err = fmt.Errorf("server: scenario key: unsupported value %v", f)
+		if !a.bad {
+			a.bad, a.badF = true, f
 		}
 		return
 	}
-	if len(k.buf) >= keyFlushAt {
-		k.flush()
-	}
+	a.spill()
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	b := strconv.AppendFloat(k.buf, f, format, -1, 64)
+	b := strconv.AppendFloat(a.buf, f, format, -1, 64)
 	if format == 'e' {
 		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 			b[n-2] = b[n-1]
 			b = b[:n-1]
 		}
 	}
-	k.buf = b
+	a.buf = b
 }
 
 // string appends s as a JSON string the way encoding/json does with
 // HTML escaping on: control characters, quote, backslash, <, > and &
 // escaped, U+2028 and U+2029 escaped, invalid UTF-8 replaced by
 // \ufffd.
-func (k *keyWriter) string(s string) {
+func (a *appender) string(s string) {
 	const hexDigits = "0123456789abcdef"
-	if len(k.buf) >= keyFlushAt {
-		k.flush()
-	}
-	b := append(k.buf, '"')
+	a.spill()
+	b := append(a.buf, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
@@ -367,5 +400,5 @@ func (k *keyWriter) string(s string) {
 		start = i
 	}
 	b = append(b, s[start:]...)
-	k.buf = append(b, '"')
+	a.buf = append(b, '"')
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -74,12 +75,12 @@ func (*captureHash) BlockSize() int      { return 1 }
 // streamedForm returns the bytes ScenarioKey hashes for r.
 func streamedForm(r *SimRequest) ([]byte, error) {
 	h := &captureHash{}
-	k := &keyWriter{h: h}
+	k := &keyWriter{appender: appender{h: h}}
 	k.request(r)
-	if k.err != nil {
-		return nil, k.err
+	if k.bad {
+		return nil, fmt.Errorf("unsupported value %v", k.badF)
 	}
-	k.flush()
+	h.Write(k.buf)
 	return h.Bytes(), nil
 }
 

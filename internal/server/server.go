@@ -263,7 +263,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	key := s.pool.Key(req)
 	if res, ok := s.pool.Lookup(key); ok {
-		WriteJSON(w, http.StatusOK, res)
+		WriteResult(w, http.StatusOK, &res)
 		return
 	}
 	admitStart := time.Now()
@@ -300,7 +300,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// deadline miss): the fault is in the requested scenario.
 		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 	default:
-		WriteJSON(w, http.StatusOK, res)
+		WriteResult(w, http.StatusOK, &res)
 	}
 }
 

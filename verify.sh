@@ -25,7 +25,8 @@
 # with assertions enforced, and one document must produce
 # byte-identical verdicts via dvsscen run, dvsd /v1/scenario, and the
 # dvsfleet coordinator), and a dvscheck audit pass (corpus replay,
-# oracle self-test, and a 25-configuration fuzz smoke).
+# oracle self-test, and a 25-configuration fuzz smoke), with a short
+# differential fuzz of the /v1/simulate wire codec after the tests.
 set -eu
 
 cd "$(dirname "$0")"
@@ -38,6 +39,12 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> wire codec differential fuzz (FuzzWireCodec, 10s)"
+# The /v1/simulate codec against encoding/json on generated bodies:
+# what the fast decoders accept decodes equal, what they decline gets
+# encoding/json's exact answer, and the encoders write its bytes.
+go test -run '^$' -fuzz '^FuzzWireCodec$' -fuzztime 10s -parallel 1 ./internal/server/
 
 echo "==> bench smoke (compile + one iteration of every benchmark)"
 # -benchtime=1x runs each benchmark body once: no timing value, but
